@@ -62,6 +62,8 @@ def read_examples(path, pool: list[str] | None = None) -> list[Example]:
         raise DataError(f"missing metadata sidecar {meta_path}")
     with open(meta_path, encoding="utf-8") as mf:
         metas = [json.loads(line) for line in mf if line.strip()]
+    # one tuple for the whole split, so rankers featurize the pool once
+    shared_pool = tuple(pool) if pool is not None else None
     out: list[Example] = []
     context: list[tuple[str, str]] = []
     with open(path, encoding="utf-8") as f:
@@ -82,7 +84,6 @@ def read_examples(path, pool: list[str] | None = None) -> list[Example]:
                 context = []
             if position != meta["position"]:
                 raise DataError(f"{path}:{i + 1}: position disagrees with sidecar")
-            use_pool = pool is not None and meta["task"] == "discussion"
             gold = (reply,) if meta["task"] == "discussion" else tuple(reply.split("|"))
             out.append(Example(
                 input=user_text,
@@ -92,7 +93,7 @@ def read_examples(path, pool: list[str] | None = None) -> list[Example]:
                 question_class=meta["class"],
                 response_position=position,
                 dialog_id=meta["dialog"],
-                candidate_pool=tuple(pool) if use_pool else None,
+                candidate_pool=shared_pool if meta["task"] == "discussion" else None,
             ))
             context.append((user_text, reply))
     if len(out) != len(metas):

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from dialeval import DataError
-from dialeval.kb import KnowledgeBase
 from dialeval.taskgen import Example
 from dialeval.templates import QUESTION_CLASSES
 from dialeval.text import Vocabulary, tokenize
@@ -71,11 +70,6 @@ def is_entity_matched(example: Example, vocab: Vocabulary) -> bool:
         if gold_ents - in_ents:
             return True
     return False
-
-
-def entity_match_subset(examples: list[Example], kb: KnowledgeBase,
-                        vocab: Vocabulary) -> list[Example]:
-    return [ex for ex in examples if is_entity_matched(ex, vocab)]
 
 
 def evaluate(ranker, examples: list[Example], k: int,

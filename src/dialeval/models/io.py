@@ -2,7 +2,7 @@
 
 Header: magic 'DLEV', format version, model kind, d, V, K, w (all little
 endian), then named row-major float64 matrices.  A plain-text sidecar
-(<path>.cfg) records the TrainConfig used.
+(<path>.cfg) records the TrainConfig used; loading a model requires it.
 """
 
 from __future__ import annotations
@@ -77,12 +77,14 @@ def load_model(path):
 
 
 def _load_cfg(path) -> TrainConfig:
+    """The sidecar is required: ranking needs the memory and hashing settings
+    the model was trained with, and defaults would silently replace them."""
     try:
         with open(path, encoding="utf-8") as f:
             lines = [ln for ln in f if not ln.startswith("kind=")]
-        return TrainConfig.from_text("".join(lines))
     except FileNotFoundError:
-        return TrainConfig()
+        raise DataError(f"{path}: missing model config sidecar") from None
+    return TrainConfig.from_text("".join(lines))
 
 
 def _build(kind: str, matrices: dict[str, np.ndarray], header: dict):

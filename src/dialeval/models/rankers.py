@@ -3,6 +3,12 @@
 A ranker maps an Example to an ordered list of candidate labels (entity
 symbols, or response texts for explicit candidate lists).  Ties always break
 by candidate index, ascending, so rankings are deterministic.
+
+An explicit candidate list is the gold response followed by a pool that many
+examples share.  Each ranker featurizes a pool once and keeps it in a
+`PoolCache` keyed by the pool tuple itself, so examples whose pools hold the
+same responses share one entry, whatever tuple object holds them; the gold
+differs from example to example and is featurized per example.
 """
 
 from __future__ import annotations
@@ -34,6 +40,23 @@ def query_text(example: Example) -> str:
     return " ".join(parts)
 
 
+class PoolCache(dict):
+    """Featurized candidate pools keyed by the pool's content.
+
+    A tuple's hash and `==` follow its items, so an equal pool held in
+    another tuple finds the same entry, and a pool with other content never
+    finds a stale one.  The featurization of a missing pool is computed on
+    first use and kept for the ranker's lifetime."""
+
+    def __init__(self, featurize):
+        super().__init__()
+        self.featurize = featurize
+
+    def __missing__(self, pool: tuple[str, ...]):
+        out = self[pool] = self.featurize(pool)
+        return out
+
+
 class EntityCandidates:
     """The shared answer space for qa/recs/qarecs: every entity symbol."""
 
@@ -61,11 +84,9 @@ class OracleRanker:
 
 
 class RandomRanker:
-    def __init__(self, seed: int, vocab: Vocabulary | None = None,
-                 n_candidates: int | None = None):
+    def __init__(self, seed: int, vocab: Vocabulary | None = None):
         self.rng = random.Random(seed)
         self.entities = EntityCandidates(vocab) if vocab else None
-        self.n_candidates = n_candidates
 
     def rank(self, example: Example) -> list[str]:
         if example.candidate_pool is not None:
@@ -85,18 +106,23 @@ class EmbedRanker:
         self.entities = EntityCandidates(vocab)
         # output embeddings of the fixed entity candidates, cached
         self._entity_out = params.U_out[:, self.entities.token_ids]
+        self._pools = PoolCache(self._vectors)
 
-    def rank(self, example: Example) -> list[str]:
+    def _vectors(self, texts) -> list[np.ndarray]:
+        return [embed_sum(bag(tokenize(self.vocab, c)), self.params.U_out) for c in texts]
+
+    def score(self, example: Example) -> tuple[list[str], np.ndarray]:
+        """Candidate labels and their scores, gold first for explicit lists."""
         x = embed_sum(bag(tokenize(self.vocab, query_text(example))), self.params.U_in)
         if example.candidate_pool is None:
-            scores = x @ self._entity_out
-            return rank_by_score(self.entities.labels, scores)
-        labels = example.explicit_candidates()
-        scores = np.array([
-            float(x @ embed_sum(bag(tokenize(self.vocab, c)), self.params.U_out))
-            for c in labels
-        ])
-        return rank_by_score(labels, scores)
+            return self.entities.labels, x @ self._entity_out
+        # one dot product per candidate: a single gemv over the stacked
+        # vectors can differ in the last bit and reorder near-ties
+        ys = [*self._vectors(example.gold[:1]), *self._pools[example.candidate_pool]]
+        return example.explicit_candidates(), np.array([float(x @ y) for y in ys])
+
+    def rank(self, example: Example) -> list[str]:
+        return rank_by_score(*self.score(example))
 
 
 class MemN2NRanker:
@@ -108,30 +134,26 @@ class MemN2NRanker:
         self.cfg = cfg
         self.entities = EntityCandidates(vocab)
         self._entity_G = candidate_matrix(params.W, self.entities.bags)
-        self._pool_G: dict[int, tuple[list[str], np.ndarray]] = {}
+        self._pools = PoolCache(self._matrix)
 
-    def _explicit(self, example: Example) -> tuple[list[str], np.ndarray]:
-        key = id(example.candidate_pool)
-        labels = example.explicit_candidates()
-        cached = self._pool_G.get(key)
-        if cached is None:
-            pool_bags = [bag(tokenize(self.vocab, c)) for c in example.candidate_pool]
-            cached = (list(example.candidate_pool),
-                      candidate_matrix(self.params.W, pool_bags))
-            self._pool_G[key] = cached
-        gold_bag = bag(tokenize(self.vocab, example.gold[0]))
-        gold_G = candidate_matrix(self.params.W, [gold_bag])
-        return labels, np.vstack([gold_G, cached[1]])
+    def _matrix(self, texts) -> np.ndarray:
+        return candidate_matrix(self.params.W, [bag(tokenize(self.vocab, c)) for c in texts])
 
-    def rank(self, example: Example) -> list[str]:
+    def score(self, example: Example) -> tuple[list[str], np.ndarray]:
+        """Candidate labels and their scores, gold first for explicit lists."""
         ms = build_memory(list(example.context), example.input, self.kb,
                           self.vocab, self.cfg)
         if example.candidate_pool is None:
             labels, G = self.entities.labels, self._entity_G
         else:
-            labels, G = self._explicit(example)
+            labels = example.explicit_candidates()
+            G = np.vstack([self._matrix(example.gold[:1]),
+                           self._pools[example.candidate_pool]])
         scores, _ = memn2n_forward(ms, [], self.params, G=G)
-        return rank_by_score(labels, scores)
+        return labels, scores
+
+    def rank(self, example: Example) -> list[str]:
+        return rank_by_score(*self.score(example))
 
 
 class TfIdfRanker:
@@ -139,14 +161,22 @@ class TfIdfRanker:
         self.model = model
         self.vocab = vocab
         self.use_context = use_context
+        self.entities = EntityCandidates(vocab)
+        self._entity_vectors = self._vectors(self.entities.labels)
+        self._pools = PoolCache(self._vectors)
+
+    def _vectors(self, texts) -> list[dict[int, float]]:
+        return [self.model.candidate_vector(bag(tokenize(self.vocab, c))) for c in texts]
 
     def rank(self, example: Example) -> list[str]:
         text = query_text(example) if self.use_context else example.input
         query = bag(tokenize(self.vocab, text))
-        labels = example.explicit_candidates() if example.candidate_pool is not None \
-            else EntityCandidates(self.vocab).labels
-        cand_bags = [bag(tokenize(self.vocab, c)) for c in labels]
-        return [labels[i] for i in self.model.rank(query, cand_bags)]
+        if example.candidate_pool is None:
+            labels, vectors = self.entities.labels, self._entity_vectors
+        else:
+            labels = example.explicit_candidates()
+            vectors = [*self._vectors(example.gold[:1]), *self._pools[example.candidate_pool]]
+        return [labels[i] for i in self.model.rank_vectors(query, vectors)]
 
 
 class MFRanker:

@@ -67,11 +67,20 @@ class TfIdfModel:
                     v[t] = v.get(t, 0.0) + self.rf_weight * w
         return v
 
+    def candidate_vector(self, candidate_bag: dict[int, int]) -> dict[int, float]:
+        return tfidf_vector(candidate_bag, self.idf)
+
     def rank(self, query_bag: dict[int, int],
              candidate_bags: list[dict[int, int]]) -> list[int]:
         """Candidate indices by cosine similarity desc, ties by index asc."""
+        return self.rank_vectors(query_bag, [self.candidate_vector(c) for c in candidate_bags])
+
+    def rank_vectors(self, query_bag: dict[int, int],
+                     candidate_vectors: list[dict[int, float]]) -> list[int]:
+        """`rank` over candidates already turned into `candidate_vector`s,
+        so that a fixed candidate set is weighted once."""
         v = self.query_vector(query_bag)
-        sims = np.array([cosine(v, tfidf_vector(c, self.idf)) for c in candidate_bags])
+        sims = np.array([cosine(v, c) for c in candidate_vectors])
         return list(np.lexsort((np.arange(len(sims)), -sims)))
 
     def idf_vector(self, vocab_size: int) -> np.ndarray:

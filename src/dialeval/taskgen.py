@@ -19,11 +19,6 @@ from dialeval.templates import CLASS_EDGES, QUESTION_CLASSES, TemplateSet, fill,
 
 log = logging.getLogger(__name__)
 
-TASK_TAGS = ("qa", "recs", "qarecs", "discussion")
-
-# candidate spec marker: rank the entity vocabulary
-ALL_ENTITIES = "all_entities"
-
 MAX_DIALOG_RETRIES = 20
 
 
@@ -36,8 +31,9 @@ class Example:
     question_class: str | None = None
     response_position: int = 1
     dialog_id: int = 0
-    # None -> ALL_ENTITIES; otherwise a shared tuple of negative responses
-    # (the explicit candidate list is gold[0] followed by this pool)
+    # None -> rank the whole entity table; otherwise a shared tuple of
+    # negative responses (the explicit candidate list is gold[0] followed
+    # by this pool)
     candidate_pool: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -177,10 +173,6 @@ def gen_recs(
     return out
 
 
-def _movies_with_value(kb: KnowledgeBase, relation: str, value: str) -> set[str]:
-    return kb.query_subjects(relation, value)
-
-
 _DIALOG_PROPERTIES = ("movie_to_actors", "movie_to_director", "movie_to_tags")
 
 
@@ -261,8 +253,8 @@ def _try_dialog(kb, ratings, templates, rng, eligible):
 
     # exchange 3: another movie with the same topic, plus a preference of the
     # same property type as exchange 2; prefer the user's own five-star movies
-    topic_movies = (_movies_with_value(kb, "has_genre", topic)
-                    | _movies_with_value(kb, "has_tags", topic))
+    topic_movies = (kb.query_subjects("has_genre", topic)
+                    | kb.query_subjects("has_tags", topic))
     pool3 = sorted(topic_movies - {gold1} - set(liked))
     if not pool3:
         return None

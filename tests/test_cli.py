@@ -125,6 +125,18 @@ def test_eval_writes_report(qa_dir, qa_model, tmp_path, capsys):
     assert len(type_rows) == 11
 
 
+def test_eval_without_cfg_sidecar_exits_2(qa_dir, tmp_path, capsys):
+    model = tmp_path / "m.bin"
+    assert run(["train", "--data", qa_dir, "--model", "memn2n",
+                "--out", model, "--epochs", 1, "--max-memories", 10]) == 0
+    (tmp_path / "m.bin.cfg").unlink()
+    capsys.readouterr()
+    assert run(["eval", "--data", qa_dir, "--model-file", model]) == 2
+    captured = capsys.readouterr()
+    assert "m.bin.cfg" in captured.err
+    assert "hits@" not in captured.out
+
+
 def test_eval_oracle_is_perfect(qa_dir, capsys):
     assert run(["eval", "--data", qa_dir, "--split", "test", "--oracle"]) == 0
     out = capsys.readouterr().out

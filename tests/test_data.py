@@ -62,6 +62,20 @@ def test_discussion_pool_attachment(tmp_path):
         assert got.gold == want.gold  # pipes in gold would break discussion
 
 
+def test_discussion_examples_share_one_pool(tmp_path):
+    _, _, threads = gen_synthetic_sources(2, 20, 15, 10, 30)
+    _, _, test, _, test_pool = gen_discussion(threads, (10, 10), 0)
+    path = tmp_path / "test.txt"
+    write_examples(path, test)
+    loaded = read_examples(path, list(test_pool))
+    assert len(loaded) > 1
+    first = loaded[0].candidate_pool
+    assert first == tuple(test_pool)
+    for got, want in zip(loaded, test):
+        assert got.candidate_pool is first
+        assert got.candidate_pool == want.candidate_pool
+
+
 def test_dialog_lines_restart_numbering(tmp_path):
     kb, ratings, _ = gen_synthetic_sources(2, 20, 15, 10, 10)
     examples = gen_qarecs(kb, ratings, DEFAULT_TEMPLATES, 0, 5)

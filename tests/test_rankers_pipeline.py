@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dialeval import DataError
+from dialeval.data import read_examples, write_examples
 from dialeval.evaluation import evaluate
 from dialeval.ingest import gen_synthetic_sources
 from dialeval.models import TrainConfig
@@ -13,7 +16,7 @@ from dialeval.pipeline import (
     DEFAULT_K, build_vocab, make_ranker, train_ir, train_memn2n,
     train_mf_from_ratings, train_supemb,
 )
-from dialeval.taskgen import Example, gen_qa, gen_recs
+from dialeval.taskgen import Example, gen_discussion, gen_qa, gen_recs
 from dialeval.templates import DEFAULT_TEMPLATES
 
 
@@ -133,3 +136,82 @@ def test_train_supemb_rejects_non_entity_gold(small_kb):
     vocab = build_vocab([ex], small_kb, min_freq=1)
     with pytest.raises(DataError, match="entity"):
         train_supemb([ex], vocab, TrainConfig(epochs=1))
+
+
+# ---------------------------------------------------------------------------
+# candidate pools featurized once per ranker
+
+
+@pytest.fixture(scope="module")
+def pool_setup(tmp_path_factory):
+    """A discussion test split read back from its files, so every example
+    holds the one pool tuple `read_examples` builds, and a maker of fresh
+    rankers per model."""
+    kb, _, threads = gen_synthetic_sources(5, 20, 15, 10, 80)
+    train, _, test, _, pool = gen_discussion(threads, (10, 40), 0)
+    path = tmp_path_factory.mktemp("pool") / "test.txt"
+    write_examples(path, test)
+    test = read_examples(path, pool)
+    vocab = build_vocab(train, kb, min_freq=1)
+    cfg = TrainConfig(learning_rate=0.01, dim=8, epochs=2, hops=1, seed=0)
+    params = {
+        "memn2n": train_memn2n(train, vocab, kb, cfg)[0],
+        "supemb": train_supemb(train, vocab, cfg)[0],
+        "ir": train_ir(train, vocab),
+    }
+
+    def fresh(kind):
+        return make_ranker(kind, params[kind], vocab, kb, cfg)
+
+    return test, fresh
+
+
+def _other_pool(pool: tuple[str, ...]) -> tuple[str, ...]:
+    """Same length, other content: the pool rotated by one response."""
+    return tuple(pool[1:] + pool[:1])
+
+
+@pytest.mark.parametrize("kind", ["memn2n", "supemb", "ir"])
+def test_shared_pool_ranks_as_fresh_rankers(pool_setup, kind):
+    test, fresh = pool_setup
+    assert len(test) > 5 and all(ex.candidate_pool is test[0].candidate_pool for ex in test)
+    shared = fresh(kind)
+    for ex in test:
+        assert shared.rank(ex) == fresh(kind).rank(ex)
+        if kind != "ir":
+            labels, scores = shared.score(ex)
+            fresh_labels, fresh_scores = fresh(kind).score(ex)
+            assert labels == fresh_labels
+            np.testing.assert_array_equal(scores, fresh_scores)
+
+
+@pytest.mark.parametrize("kind", ["memn2n", "supemb", "ir"])
+def test_pool_cache_holds_one_entry_per_pool(pool_setup, kind):
+    test, fresh = pool_setup
+    ranker = fresh(kind)
+    evaluate(ranker, test, k=10)
+    assert len(ranker._pools) == 1
+    # equal content in a distinct tuple of distinct strings: the same entry
+    ex = test[0]
+    copy = tuple(c.encode().decode() for c in ex.candidate_pool)
+    assert copy is not ex.candidate_pool and copy == ex.candidate_pool
+    assert ranker.rank(replace(ex, candidate_pool=copy)) == ranker.rank(ex)
+    assert len(ranker._pools) == 1
+
+
+@pytest.mark.parametrize("kind", ["memn2n", "supemb", "ir"])
+def test_pool_cache_never_returns_a_stale_entry(pool_setup, kind):
+    test, fresh = pool_setup
+    ex = test[0]
+    ranker = fresh(kind)
+    pool = ex.candidate_pool
+    for _ in range(3):
+        # drop the last pool before building the next, so its address may
+        # be reused by a tuple of other content
+        pool = _other_pool(pool)
+        other = replace(ex, candidate_pool=tuple(list(pool)))
+        assert ranker.rank(other) == fresh(kind).rank(other)
+        if kind != "ir":
+            np.testing.assert_array_equal(ranker.score(other)[1], fresh(kind).score(other)[1])
+        del other
+    assert ranker.rank(ex) == fresh(kind).rank(ex)

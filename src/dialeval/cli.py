@@ -20,7 +20,7 @@ from dialeval.ingest import (
 from dialeval.models import TrainConfig
 from dialeval.models.io import (
     KIND_IR, KIND_MEMN2N, KIND_MF, KIND_SUPEMB,
-    load_model, save_ir, save_memn2n, save_mf, save_supemb,
+    load_for_ranking, save_ir, save_memn2n, save_mf, save_supemb,
 )
 from dialeval.models.rankers import OracleRanker
 from dialeval.pipeline import (
@@ -32,7 +32,6 @@ from dialeval.taskgen import (
     gen_discussion, gen_joint, gen_qa, gen_qarecs, gen_recs,
 )
 from dialeval.templates import DEFAULT_TEMPLATES, load_templates
-from dialeval.text import Vocabulary
 
 log = logging.getLogger("dialeval")
 
@@ -353,8 +352,7 @@ def cmd_eval(args) -> int:
     else:
         if not args.model_file:
             raise UsageError("--model-file or --oracle is required")
-        kind, params, cfg, _ = load_model(args.model_file)
-        vocab = Vocabulary.load(args.model_file + ".vocab")
+        kind, params, cfg, vocab = load_for_ranking(args.model_file)
         if kind == KIND_IR and params.rf_weight > 0.0:
             train_examples = _read_split(args.data, "train")
             rf_model = train_ir(train_examples, vocab, rf_weight=params.rf_weight)
@@ -376,8 +374,7 @@ def cmd_eval(args) -> int:
 
 def cmd_chat(args) -> int:
     manifest, kb = _dataset(args.data)
-    kind, params, cfg, _ = load_model(args.model_file)
-    vocab = Vocabulary.load(args.model_file + ".vocab")
+    kind, params, cfg, vocab = load_for_ranking(args.model_file)
     ranker = make_ranker(kind, params, vocab, kb, cfg)
     history: list[tuple[str, str]] = []
     transcript = open(args.transcript, "a", encoding="utf-8") if args.transcript else None

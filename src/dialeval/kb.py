@@ -136,15 +136,26 @@ class KnowledgeBase:
     def render_all(self) -> list[str]:
         return [self.render_fact(i) for i in range(len(self.triples))]
 
-    def hash_lookup(self, tokens, freq_cutoff: int) -> list[int]:
-        """Fact ids containing any query token rarer than the cutoff, sorted."""
+    def recall(self, tokens, freq_cutoff: int, budget: int | None = None) -> list[int]:
+        """Fact ids recalled by hashing the query tokens: the facts of every
+        distinct token in at most `freq_cutoff` facts, rarest token first
+        (ties by token) so that a budget keeps the most specific facts, each
+        token's facts in id order, each fact once, at most `budget` of them
+        (None: all)."""
         if freq_cutoff < 1:
             raise ValueError("freq_cutoff must be >= 1")
-        hit: set[int] = set()
-        for tok in tokens:
-            if self.fact_freq.get(tok, 0) <= freq_cutoff:
-                hit.update(self.word_index.get(tok, ()))
-        return sorted(hit)
+        keys = sorted((freq, tok) for tok in set(tokens)
+                      if (freq := self.fact_freq.get(tok, 0)) <= freq_cutoff)
+        hit: dict[int, None] = {}  # insertion-ordered set
+        for _, tok in keys:
+            if budget is not None and len(hit) >= budget:
+                break
+            hit.update(dict.fromkeys(self.word_index.get(tok, ())))
+        return list(hit)[:budget]
+
+    def hash_lookup(self, tokens, freq_cutoff: int) -> list[int]:
+        """Every fact `recall` finds, with no budget, in id order."""
+        return sorted(self.recall(tokens, freq_cutoff))
 
 
 def fact_tokens(subject: str, relation: str, obj: str) -> list[str]:

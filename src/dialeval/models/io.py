@@ -2,7 +2,10 @@
 
 Header: magic 'DLEV', format version, model kind, d, V, K, w (all little
 endian), then named row-major float64 matrices.  A plain-text sidecar
-(<path>.cfg) records the TrainConfig used; loading a model requires it.
+(<path>.cfg) records the TrainConfig used; loading a model requires it, and
+every matrix the kind needs must have the shape the header gives.  Ranking
+also needs the vocabulary (<path>.vocab): `load_for_ranking` checks the
+three files against each other.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dialeval.models.embeddings import SINGLE_DICT, EmbedParams
 from dialeval.models.memn2n import MemN2NParams
 from dialeval.models.mf import MFParams
 from dialeval.models.tfidf import TfIdfModel
+from dialeval.text import Vocabulary
 
 MAGIC = b"DLEV"
 VERSION = 1
@@ -73,7 +77,25 @@ def load_model(path):
         matrices = dict(_read_matrix(f) for _ in range(n_matrices))
     cfg = _load_cfg(str(path) + ".cfg")
     header = {"d": d, "V": V, "K": K, "w": w}
+    _check_shapes(path, kind, matrices, header)
     return kind, _build(kind, matrices, header), cfg, header
+
+
+def load_for_ranking(path):
+    """(kind, params, cfg, vocab) of a model file, its .cfg and its .vocab,
+    checked against each other: the vocabulary has the header's V symbols
+    (the models that embed or weight tokens), and memn2n's time features
+    have a row per memory slot of the config."""
+    kind, params, cfg, header = load_model(path)
+    vocab_path = f"{path}.vocab"
+    vocab = Vocabulary.load(vocab_path)
+    if kind in (KIND_SUPEMB, KIND_MEMN2N, KIND_IR) and vocab.size != header["V"]:
+        raise DataError(f"{vocab_path}: {vocab.size} symbols, but {path} was "
+                        f"trained on V={header['V']}")
+    if kind == KIND_MEMN2N and params.T.shape[0] != cfg.max_memories + 1:
+        raise DataError(f"{path}: T has {params.T.shape[0]} rows, but {path}.cfg's "
+                        f"max_memories={cfg.max_memories} needs {cfg.max_memories + 1}")
+    return kind, params, cfg, vocab
 
 
 def _load_cfg(path) -> TrainConfig:
@@ -85,6 +107,36 @@ def _load_cfg(path) -> TrainConfig:
     except FileNotFoundError:
         raise DataError(f"{path}: missing model config sidecar") from None
     return TrainConfig.from_text("".join(lines))
+
+
+# the matrices each model needs, by kind and, where it matters, w
+_NEEDED = {
+    (KIND_SUPEMB, 1): ("U_IN",), (KIND_SUPEMB, 2): ("U_IN", "U_OUT"),
+    (KIND_MEMN2N, 1): ("A_IN", "R", "T"), (KIND_MEMN2N, 2): ("A_IN", "W", "R", "T"),
+    (KIND_MEMN2N, 3): ("A_IN", "A_MEM", "W", "R", "T"),
+    KIND_IR: ("IDF",), KIND_MF: ("P", "Q", "ITEMS"),
+}
+
+
+def _check_shapes(path, kind: str, matrices: dict[str, np.ndarray], header: dict) -> None:
+    """Every matrix the model needs is present with the shape the header
+    gives (None: any number of rows)."""
+    d, V, K, w = header["d"], header["V"], header["K"], header["w"]
+    names = _NEEDED.get((kind, w), _NEEDED.get(kind))
+    if names is None:
+        raise DataError(f"{path}: no {kind!r} model has w={w}")
+    shapes = {"U_IN": (d, V), "U_OUT": (d, V), "A_IN": (d, V), "A_MEM": (d, V),
+              "W": (V, d), "R": (K * d, d), "T": (None, d), "IDF": (1, V),
+              "P": (None, d), "Q": (V, d), "ITEMS": (1, V)}
+    for name in names:
+        arr = matrices.get(name)
+        if arr is None:
+            raise DataError(f"{path}: missing matrix {name}")
+        rows, cols = shapes[name]
+        if arr.shape[1] != cols or rows is not None and arr.shape[0] != rows:
+            raise DataError(f"{path}: matrix {name} is {arr.shape[0]}x{arr.shape[1]}, "
+                            f"but the header (d={d}, V={V}, K={K}, w={w}) needs "
+                            f"{'*' if rows is None else rows}x{cols}")
 
 
 def _build(kind: str, matrices: dict[str, np.ndarray], header: dict):

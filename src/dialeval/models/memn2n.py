@@ -12,12 +12,19 @@ two-dictionary embedding scorer.  Backprop is written out by hand:
 `memn2n_grads` returns dense gradients, which the tests check against central
 finite differences, and `memn2n_train_step` applies the same update to the
 embedding columns the example's bags name, leaving the same bits.
+
+Token bags are dicts where they are built; every product reads them in one
+packed form, `PackedBags` (concatenated ids and counts with per-bag
+lengths).  A candidate list is packed once per `memn2n_train` call or per
+ranker pool, and an example's memories once per forward pass, which the
+training step reuses for its update.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -100,9 +107,9 @@ def build_memory(
     cfg: TrainConfig,
 ) -> MemoryState:
     """Short-term items are the prior turns (time slots counting backwards
-    from the most recent reply); long-term items are KB facts recalled by
-    hashing the tokens of the last hash_n messages (0 = all, input included),
-    capped at max_memories preferring facts recalled through rarer tokens."""
+    from the most recent reply); long-term items are the KB facts that
+    `KnowledgeBase.recall` finds for the tokens of the last hash_n messages
+    (0 = all, input included), at most max_memories of them."""
     memory_bags: list[dict[int, int]] = []
     slots: list[int] = []
     n_turns = len(context)
@@ -117,30 +124,8 @@ def build_memory(
         messages = [t for turn in context for t in turn] + [input_text]
         if cfg.hash_n > 0:
             messages = messages[-cfg.hash_n:]
-        tokens: list[str] = []
-        seen: set[str] = set()
-        for msg in messages:
-            for tid in tokenize(vocab, msg):
-                surface = vocab.symbols[tid]
-                if surface not in seen:
-                    seen.add(surface)
-                    tokens.append(surface)
-        # rarer tokens first, so the cap keeps the most specific facts
-        tokens = [t for t in tokens if kb.fact_freq.get(t, 0) <= cfg.hash_cutoff]
-        tokens.sort(key=lambda t: (kb.fact_freq.get(t, 0), t))
-        fact_ids: list[int] = []
-        seen_facts: set[int] = set()
-        budget = cfg.max_memories
-        for tok in tokens:
-            if len(fact_ids) >= budget:
-                break
-            for fid in kb.word_index.get(tok, ()):
-                if fid not in seen_facts:
-                    seen_facts.add(fid)
-                    fact_ids.append(fid)
-                    if len(fact_ids) >= budget:
-                        break
-        for fid in fact_ids:
+        tokens = {vocab.symbols[tid] for msg in messages for tid in tokenize(vocab, msg)}
+        for fid in kb.recall(tokens, cfg.hash_cutoff, cfg.max_memories):
             memory_bags.append(bag(tokenize(vocab, kb.render_fact(fid))))
             slots.append(LONG_TERM_SLOT)
 
@@ -161,24 +146,17 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def candidate_matrix(W: np.ndarray, candidate_bags: list[dict[int, int]]) -> np.ndarray:
-    """C x d matrix of output embeddings W^T y_c; cache this for fixed pools."""
-    G = np.zeros((len(candidate_bags), W.shape[1]))
-    for c, y in enumerate(candidate_bags):
-        ids, counts = as_arrays(y)
-        if ids.size:
-            G[c] = counts @ W[ids]
-    return G
-
-
 class PackedBags:
-    """A list of token bags as concatenated (ids, counts) arrays with per-bag
-    lengths, so that a training step gathers and scatters embedding rows
-    without walking the bags as dicts.  `memn2n_train` packs each candidate
-    list once; a step packs its example's memories.
+    """The one packed form of a list of token bags: concatenated (ids, counts)
+    arrays with per-bag lengths, so that scoring, embedding and the training
+    step read embedding rows without walking the bags as dicts.
+    `memn2n_train` packs each candidate list once, and `memn2n_forward`
+    packs an example's memories once for both the forward pass and the
+    update.
 
-    Entries keep each bag's `as_arrays` order; `bag` names the bag of every
-    entry, `touched` the distinct ids and `pos` each entry's index in it."""
+    Entries keep each bag's `as_arrays` order.  What only an update needs is
+    computed on first use: `bag` names the bag of every entry, `touched` the
+    distinct ids and `pos` each entry's index in it."""
 
     def __init__(self, bags: list[dict[int, int]]):
         self.lengths = np.fromiter(map(len, bags), dtype=np.int64, count=len(bags))
@@ -186,22 +164,43 @@ class PackedBags:
         self.ids = np.fromiter(chain.from_iterable(bags), dtype=np.int64, count=n)
         self.counts = np.fromiter(chain.from_iterable(b.values() for b in bags),
                                   dtype=np.float64, count=n)
-        self.bag = np.repeat(np.arange(len(bags)), self.lengths)
-        self.touched, self.pos = np.unique(self.ids, return_inverse=True)
-        # one token of count 1 per bag, no id twice: G is rows of W
-        self.one_hot = (bool(np.all(self.lengths == 1)) and self.touched.size == n
-                        and bool(np.all(self.counts == 1.0)))
 
     def __len__(self) -> int:
         return self.lengths.size
 
+    def spans(self):
+        """(start, stop) of every bag's entries."""
+        stops = np.cumsum(self.lengths).tolist()
+        return zip([0, *stops], stops)
+
+    @cached_property
+    def bag(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self)), self.lengths)
+
+    @cached_property
+    def _unique(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.unique(self.ids, return_inverse=True)
+
+    @property
+    def touched(self) -> np.ndarray:
+        return self._unique[0]
+
+    @property
+    def pos(self) -> np.ndarray:
+        return self._unique[1]
+
+    @cached_property
+    def one_hot(self) -> bool:
+        """One token of count 1 per bag and no id twice: G is rows of W."""
+        return (bool(np.all(self.lengths == 1)) and self.touched.size == self.ids.size
+                and bool(np.all(self.counts == 1.0)))
+
     def matrix(self, W: np.ndarray) -> np.ndarray:
-        """`candidate_matrix(W, bags)`, the same products without the dicts."""
+        """C x d matrix of output embeddings W^T y_c, one row per bag."""
         if self.one_hot:
             return W[self.ids]
         G = np.zeros((len(self), W.shape[1]))
-        stops = np.cumsum(self.lengths).tolist()
-        for c, (start, stop) in enumerate(zip([0, *stops], stops)):
+        for c, (start, stop) in enumerate(self.spans()):
             if stop > start:
                 G[c] = self.counts[start:stop] @ W[self.ids[start:stop]]
         return G
@@ -218,13 +217,18 @@ class PackedBags:
         return out.reshape(self.touched.size, d)
 
 
-def _embed_memories(p: MemN2NParams, ms: MemoryState) -> np.ndarray:
-    M = np.zeros((len(ms.memory_bags), p.dim))
-    for i, (x, slot) in enumerate(zip(ms.memory_bags, ms.slots)):
-        ids, counts = as_arrays(x)
-        if ids.size:
-            M[i] = p.A_mem[:, ids] @ counts
-        M[i] += p.T[slot]
+def candidate_matrix(W: np.ndarray, candidate_bags: list[dict[int, int]]) -> np.ndarray:
+    """C x d matrix of output embeddings W^T y_c; cache this for fixed pools."""
+    return PackedBags(candidate_bags).matrix(W)
+
+
+def _embed_memories(p: MemN2NParams, memories: PackedBags, slots: list[int]) -> np.ndarray:
+    """m_i = A_mem x_i + T[s_i], one gemv per memory bag."""
+    M = np.zeros((len(memories), p.dim))
+    for i, (start, stop) in enumerate(memories.spans()):
+        if stop > start:
+            M[i] = p.A_mem[:, memories.ids[start:stop]] @ memories.counts[start:stop]
+    M += p.T[slots]
     return M
 
 
@@ -242,8 +246,9 @@ def memn2n_forward(
     u = p.A_in[:, ids] @ counts if ids.size else np.zeros(p.dim)
     attentions: list[np.ndarray] = []
     us = [u]
-    if ms.memory_bags:
-        M = _embed_memories(p, ms)
+    memories = PackedBags(ms.memory_bags)
+    if len(memories):
+        M = _embed_memories(p, memories, ms.slots)
         for k in range(p.hops):
             attn = _softmax(M @ u)
             c = attn @ M
@@ -257,7 +262,7 @@ def memn2n_forward(
         G = candidate_matrix(p.W, candidate_bags)
     scores = G @ u
     if _cache is not None:
-        _cache.update(M=M, us=us, attentions=attentions, G=G)
+        _cache.update(M=M, us=us, attentions=attentions, G=G, memories=memories)
     return scores, attentions
 
 
@@ -356,7 +361,7 @@ def memn2n_train_step(
     dW_rows = cands.sum_by_id(dz[cands.bag, None] * (cands.counts[:, None] * q))
     du, dM, dR = _backprop_hops(p, cache, cache["G"].T @ dz)
     # dense: dA_mem[:, ids_i] += outer(dM_i, counts_i) and dT[slot_i] += dM_i
-    memories = PackedBags(ms.memory_bags)
+    memories = cache["memories"]
     dA_mem = memories.sum_by_id(dM[memories.bag] * memories.counts[:, None])
     dT = np.zeros_like(p.T)
     np.add.at(dT, np.asarray(ms.slots, dtype=np.int64), dM)

@@ -46,14 +46,15 @@ class PoolCache(dict):
     A tuple's hash and `==` follow its items, so an equal pool held in
     another tuple finds the same entry, and a pool with other content never
     finds a stale one.  The featurization of a missing pool is computed on
-    first use and kept for the ranker's lifetime."""
+    first use and kept for the ranker's lifetime.  The featurizer comes with
+    each lookup rather than being stored: a ranker's own bound method kept
+    here would make a reference cycle, and the ranker's memory would then
+    outlive the ranker until the garbage collector's next full pass."""
 
-    def __init__(self, featurize):
-        super().__init__()
-        self.featurize = featurize
-
-    def __missing__(self, pool: tuple[str, ...]):
-        out = self[pool] = self.featurize(pool)
+    def featurized(self, pool: tuple[str, ...], featurize):
+        out = self.get(pool)
+        if out is None:
+            out = self[pool] = featurize(pool)
         return out
 
 
@@ -64,6 +65,14 @@ class EntityCandidates:
         self.token_ids = vocab.entity_ids()
         self.labels = [vocab.symbols[t] for t in self.token_ids]
         self.bags = [{t: 1} for t in self.token_ids]
+        self._index = {label: i for i, label in enumerate(self.labels)}
+
+    def gold_indices(self, example: Example) -> list[int]:
+        """Indices of the example's golds that are entity symbols."""
+        out = [i for i in map(self._index.get, example.gold) if i is not None]
+        if not out:
+            raise DataError(f"no gold answer is an entity symbol: {example.gold}")
+        return out
 
 
 class OracleRanker:
@@ -106,7 +115,7 @@ class EmbedRanker:
         self.entities = EntityCandidates(vocab)
         # output embeddings of the fixed entity candidates, cached
         self._entity_out = params.U_out[:, self.entities.token_ids]
-        self._pools = PoolCache(self._vectors)
+        self._pools = PoolCache()
 
     def _vectors(self, texts) -> list[np.ndarray]:
         return [embed_sum(bag(tokenize(self.vocab, c)), self.params.U_out) for c in texts]
@@ -118,7 +127,8 @@ class EmbedRanker:
             return self.entities.labels, x @ self._entity_out
         # one dot product per candidate: a single gemv over the stacked
         # vectors can differ in the last bit and reorder near-ties
-        ys = [*self._vectors(example.gold[:1]), *self._pools[example.candidate_pool]]
+        pool = self._pools.featurized(example.candidate_pool, self._vectors)
+        ys = [*self._vectors(example.gold[:1]), *pool]
         return example.explicit_candidates(), np.array([float(x @ y) for y in ys])
 
     def rank(self, example: Example) -> list[str]:
@@ -134,7 +144,7 @@ class MemN2NRanker:
         self.cfg = cfg
         self.entities = EntityCandidates(vocab)
         self._entity_G = candidate_matrix(params.W, self.entities.bags)
-        self._pools = PoolCache(self._matrix)
+        self._pools = PoolCache()
 
     def _matrix(self, texts) -> np.ndarray:
         return candidate_matrix(self.params.W, [bag(tokenize(self.vocab, c)) for c in texts])
@@ -148,7 +158,7 @@ class MemN2NRanker:
         else:
             labels = example.explicit_candidates()
             G = np.vstack([self._matrix(example.gold[:1]),
-                           self._pools[example.candidate_pool]])
+                           self._pools.featurized(example.candidate_pool, self._matrix)])
         scores, _ = memn2n_forward(ms, [], self.params, G=G)
         return labels, scores
 
@@ -163,10 +173,11 @@ class TfIdfRanker:
         self.use_context = use_context
         self.entities = EntityCandidates(vocab)
         self._entity_vectors = self._vectors(self.entities.labels)
-        self._pools = PoolCache(self._vectors)
+        self._pools = PoolCache()
 
-    def _vectors(self, texts) -> list[dict[int, float]]:
-        return [self.model.candidate_vector(bag(tokenize(self.vocab, c))) for c in texts]
+    def _vectors(self, texts) -> list[tuple[dict[int, float], float]]:
+        """Each text's tf-idf vector and its norm."""
+        return self.model.candidates([bag(tokenize(self.vocab, c)) for c in texts])
 
     def rank(self, example: Example) -> list[str]:
         text = query_text(example) if self.use_context else example.input
@@ -175,7 +186,8 @@ class TfIdfRanker:
             labels, vectors = self.entities.labels, self._entity_vectors
         else:
             labels = example.explicit_candidates()
-            vectors = [*self._vectors(example.gold[:1]), *self._pools[example.candidate_pool]]
+            pool = self._pools.featurized(example.candidate_pool, self._vectors)
+            vectors = [*self._vectors(example.gold[:1]), *pool]
         return [labels[i] for i in self.model.rank_vectors(query, vectors)]
 
 

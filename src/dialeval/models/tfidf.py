@@ -27,15 +27,22 @@ def tfidf_vector(b: dict[int, int], idf: dict[int, float]) -> dict[int, float]:
     return {t: c * idf[t] for t, c in b.items() if t in idf}
 
 
-def cosine(v1: dict[int, float], v2: dict[int, float]) -> float:
+def vector_norm(v: dict[int, float]) -> float:
+    return math.sqrt(sum(w * w for w in v.values()))
+
+
+def dot(v1: dict[int, float], v2: dict[int, float]) -> float:
+    """Sparse dot product, iterating over the smaller vector."""
     if len(v2) < len(v1):
         v1, v2 = v2, v1
-    dot = sum(w * v2[t] for t, w in v1.items() if t in v2)
-    if dot == 0.0:
+    return sum(w * v2[t] for t, w in v1.items() if t in v2)
+
+
+def cosine(v1: dict[int, float], v2: dict[int, float]) -> float:
+    d = dot(v1, v2)
+    if d == 0.0:
         return 0.0
-    n1 = math.sqrt(sum(w * w for w in v1.values()))
-    n2 = math.sqrt(sum(w * w for w in v2.values()))
-    return dot / (n1 * n2)
+    return d / (vector_norm(v1) * vector_norm(v2))
 
 
 class TfIdfModel:
@@ -67,20 +74,26 @@ class TfIdfModel:
                     v[t] = v.get(t, 0.0) + self.rf_weight * w
         return v
 
-    def candidate_vector(self, candidate_bag: dict[int, int]) -> dict[int, float]:
-        return tfidf_vector(candidate_bag, self.idf)
+    def candidates(self, candidate_bags: list[dict[int, int]]
+                   ) -> list[tuple[dict[int, float], float]]:
+        """Each candidate's tf-idf vector and its norm."""
+        vectors = [tfidf_vector(c, self.idf) for c in candidate_bags]
+        return [(v, vector_norm(v)) for v in vectors]
 
     def rank(self, query_bag: dict[int, int],
              candidate_bags: list[dict[int, int]]) -> list[int]:
         """Candidate indices by cosine similarity desc, ties by index asc."""
-        return self.rank_vectors(query_bag, [self.candidate_vector(c) for c in candidate_bags])
+        return self.rank_vectors(query_bag, self.candidates(candidate_bags))
 
     def rank_vectors(self, query_bag: dict[int, int],
-                     candidate_vectors: list[dict[int, float]]) -> list[int]:
-        """`rank` over candidates already turned into `candidate_vector`s,
-        so that a fixed candidate set is weighted once."""
+                     candidates: list[tuple[dict[int, float], float]]) -> list[int]:
+        """`rank` over `candidates(...)` output, so that a fixed candidate
+        set is weighted and normed once.  The scores are `cosine`'s, bit for
+        bit."""
         v = self.query_vector(query_bag)
-        sims = np.array([cosine(v, c) for c in candidate_vectors])
+        nv = vector_norm(v)
+        sims = np.array([d / (nv * nc) if (d := dot(v, c)) != 0.0 else 0.0
+                         for c, nc in candidates])
         return list(np.lexsort((np.arange(len(sims)), -sims)))
 
     def idf_vector(self, vocab_size: int) -> np.ndarray:

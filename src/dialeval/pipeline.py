@@ -43,19 +43,6 @@ def build_vocab(examples: list[Example], kb: KnowledgeBase | None,
     return build_vocabulary(corpus_texts(examples, kb), entity_names, min_freq)
 
 
-def _gold_entity_indices(example: Example, entities: EntityCandidates,
-                         vocab: Vocabulary, where: str) -> list[int]:
-    index = {label: i for i, label in enumerate(entities.labels)}
-    out = []
-    for g in example.gold:
-        i = index.get(g)
-        if i is not None:
-            out.append(i)
-    if not out:
-        raise DataError(f"{where}: no gold answer is an entity symbol: {example.gold}")
-    return out
-
-
 def train_supemb(examples: list[Example], vocab: Vocabulary, cfg: TrainConfig,
                  variant: str = "two_dict", log_fn=None):
     """Query bag = context+input; gold bag = entity symbol or response text.
@@ -71,7 +58,7 @@ def train_supemb(examples: list[Example], vocab: Vocabulary, cfg: TrainConfig,
             y = bag(tokenize(vocab, ex.gold[0]))
             neg_pool.append(y)
         else:
-            golds = _gold_entity_indices(ex, entities, vocab, "train")
+            golds = entities.gold_indices(ex)
             y = entities.bags[golds[0]]
         data.append((x, y))
     if not explicit:
@@ -98,7 +85,7 @@ def prepare_memn2n(examples: list[Example], vocab: Vocabulary,
             cands = [bag(tokenize(vocab, c)) for c in [ex.gold[0], *negs]]
             prepared.append(PreparedExample(ms, [0], cands))
         else:
-            golds = _gold_entity_indices(ex, entities, vocab, "train")
+            golds = entities.gold_indices(ex)
             prepared.append(PreparedExample(ms, golds))
     return prepared, entities
 

@@ -294,6 +294,10 @@ def gen_discussion(
     """
     rng = random.Random(seed)
     n_dev_pool, n_test_pool = pool_sizes
+    if min(pool_sizes) < 1:
+        # a list of the gold alone would score every ranker at 100% hits@k
+        raise DataError(f"dev and test pool sizes must be >= 1, got {n_dev_pool} "
+                        f"and {n_test_pool}")
     responses = {reply for dialog in threads.dialogs for _, reply in dialog}
     held_out = [c for c in threads.candidate_pool]
     for c in held_out:

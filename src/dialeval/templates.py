@@ -187,22 +187,6 @@ def load_templates(path) -> TemplateSet:
     return ts
 
 
-def save_templates(ts: TemplateSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for cls, patterns in ts.qa.items():
-            f.write(f"[qa:{cls}]\n")
-            f.writelines(p + "\n" for p in patterns)
-        f.write("[recs]\n")
-        f.writelines(p + "\n" for p in ts.recs)
-        f.write("[dialog_opener]\n")
-        f.writelines(p + "\n" for p in ts.dialog_opener)
-        for cls, patterns in ts.dialog_question.items():
-            f.write(f"[dialog_question:{cls}]\n")
-            f.writelines(p + "\n" for p in patterns)
-        f.write("[dialog_preference]\n")
-        f.writelines(p + "\n" for p in ts.dialog_preference)
-
-
 def fill(pattern: str, **slots: str) -> str:
     def sub(match: re.Match) -> str:
         name = match.group(1)

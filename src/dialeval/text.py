@@ -92,6 +92,7 @@ def build_vocabulary(corpus, entity_names, min_freq: int = 5) -> Vocabulary:
         entity_set.add(norm)
         entities.append(norm)
 
+    corpus = list(corpus)  # read twice: unigram counts, then entity matches
     word_counts: dict[str, int] = {}
     saw_text = False
     for line in corpus:
@@ -116,7 +117,7 @@ def build_vocabulary(corpus, entity_names, min_freq: int = 5) -> Vocabulary:
     vocab = Vocabulary(symbols, flags, counts)
     # second pass: matched occurrence counts for multi-word entities
     if any(" " in e for e in entities):
-        for line in corpus if isinstance(corpus, (list, tuple)) else []:
+        for line in corpus:
             for tid in tokenize(vocab, line):
                 if vocab.entity_flags[tid] and " " in vocab.symbols[tid]:
                     vocab.counts[tid] += 1

@@ -30,6 +30,7 @@ from dialeval.taskgen import Example, gen_qa
 from dialeval.templates import DEFAULT_TEMPLATES
 
 from tests.test_models_embeddings import away_from_hinge_kink, fd_grad, rel_err
+from tests.test_kb import RECALL_BUDGETS, brute_force_recall
 from tests.test_models_memn2n import rand_bag
 
 
@@ -114,8 +115,9 @@ def test_criterion_2_normalization():
 
 
 def test_criterion_3_hash_lookup_oracle():
-    """hash_lookup equals a brute-force scan on KBs up to 10k facts."""
-    with Budget("criterion 3: hash-lookup oracle", 20):
+    """KB recall equals a brute-force scan on KBs up to 10k facts: hash_lookup
+    as a set, and recall ordered and capped at every budget."""
+    with Budget("criterion 3: KB recall oracle", 20):
         rng = random.Random(300)
         for n_facts, n_queries in ((100, 300), (1000, 300), (10000, 400)):
             kb = KnowledgeBase()
@@ -136,6 +138,9 @@ def test_criterion_3_hash_lookup_oracle():
                 wanted = {t for t in q if kb.fact_freq.get(t, 0) <= cutoff}
                 brute = [i for i, fs in enumerate(fact_sets) if wanted & fs]
                 assert kb.hash_lookup(q, cutoff) == brute
+                ordered = brute_force_recall(fact_sets, q, cutoff)
+                for budget in RECALL_BUDGETS:
+                    assert kb.recall(q, cutoff, budget) == ordered[:budget]
 
 
 def test_criterion_4_hits_oracle():

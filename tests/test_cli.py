@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dialeval.cli import main
+from dialeval.models.io import load_model, save_model
 
 
 def run(argv):
@@ -180,3 +181,65 @@ def test_chat_eof_ends_session(qa_dir, qa_model, monkeypatch):
 
     monkeypatch.setattr("builtins.input", raise_eof)
     assert run(["chat", "--data", qa_dir, "--model-file", qa_model]) == 0
+
+
+def test_gen_discussion_refuses_empty_pool(tmp_path, capsys):
+    assert run(["gen", "--task", "discussion", "--out", tmp_path / "d", "--synthetic",
+                "--threads", 60, "--pool-size", 0, "--seed", 0]) == 2
+    assert "pool sizes must be >= 1" in capsys.readouterr().err
+
+
+def _trained(qa_dir, tmp_path, model, *extra):
+    path = tmp_path / "m.bin"
+    assert run(["train", "--data", qa_dir, "--model", model, "--out", path,
+                "--epochs", 1, *extra]) == 0
+    return path
+
+
+def _eval_refused(qa_dir, model, capsys, *messages):
+    capsys.readouterr()
+    assert run(["eval", "--data", qa_dir, "--model-file", model]) == 2
+    captured = capsys.readouterr()
+    assert "hits@" not in captured.out
+    for message in messages:
+        assert message in captured.err
+
+
+@pytest.mark.parametrize("damage", ["missing_W", "short_A_IN"])
+def test_eval_rejects_matrix_that_disagrees_with_header(qa_dir, tmp_path, capsys, damage):
+    model = _trained(qa_dir, tmp_path, "memn2n", "--dicts", 2)
+    kind, p, cfg, h = load_model(model)
+    mats = {"A_IN": p.A_in, "W": p.W, "R": p.R.reshape(-1, h["d"]), "T": p.T}
+    if damage == "missing_W":
+        del mats["W"]
+        want = "m.bin: missing matrix W"
+    else:
+        mats["A_IN"] = p.A_in[:, :-1]
+        want = f"m.bin: matrix A_IN is {h['d']}x{h['V'] - 1}"
+    save_model(model, kind, list(mats.items()), cfg, h["d"], h["V"], h["K"], h["w"])
+    _eval_refused(qa_dir, model, capsys, want)
+
+
+def test_eval_rejects_cfg_with_other_max_memories(qa_dir, tmp_path, capsys):
+    model = _trained(qa_dir, tmp_path, "memn2n")
+    cfg = tmp_path / "m.bin.cfg"
+    text = cfg.read_text()
+    assert "max_memories=50\n" in text
+    cfg.write_text(text.replace("max_memories=50\n", "max_memories=80\n"))
+    _eval_refused(qa_dir, model, capsys, "m.bin: T has 51 rows", "max_memories=80")
+
+
+@pytest.mark.parametrize("kind", ["supemb", "memn2n", "ir"])
+def test_eval_and_chat_reject_vocab_of_other_size(qa_dir, tmp_path, capsys,
+                                                  monkeypatch, kind):
+    model = _trained(qa_dir, tmp_path, kind)
+    with open(tmp_path / "m.bin.vocab", "a", encoding="utf-8") as f:
+        f.write("zzextra\t5\tU\n")
+    _eval_refused(qa_dir, model, capsys, "m.bin.vocab")
+
+    def no_input(prompt=""):
+        raise AssertionError("chat read input from a mismatched model")
+
+    monkeypatch.setattr("builtins.input", no_input)
+    assert run(["chat", "--data", qa_dir, "--model-file", model]) == 2
+    assert "m.bin.vocab" in capsys.readouterr().err

@@ -87,6 +87,58 @@ def brute_force_lookup(kb: KnowledgeBase, tokens, cutoff: int) -> list[int]:
     return out
 
 
+def fact_token_sets(kb: KnowledgeBase) -> list[set[str]]:
+    return [set(fact_tokens(*parse_rendered(kb.render_fact(i)))) for i in range(kb.n_facts)]
+
+
+def brute_force_recall(fact_sets: list[set[str]], tokens, cutoff: int) -> list[int]:
+    """Independent oracle for `recall` with no budget: each distinct token's
+    facts, and so its frequency, come from a scan of every fact's token set;
+    tokens in at most `cutoff` facts, rarest first, ties by token; each fact
+    once, in first-seen order.  A budget keeps a prefix of this list."""
+    postings = {t: [i for i, fs in enumerate(fact_sets) if t in fs] for t in set(tokens)}
+    out: list[int] = []
+    seen: set[int] = set()
+    for _, t in sorted((len(ids), t) for t, ids in postings.items() if len(ids) <= cutoff):
+        for i in postings[t]:
+            if i not in seen:
+                seen.add(i)
+                out.append(i)
+    return out
+
+
+RECALL_BUDGETS = (0, 1, 5, None)
+
+
+def test_recall_matches_brute_force(small_kb):
+    fact_sets = fact_token_sets(small_kb)
+    queries = [
+        ["kung fu hustle"], ["stephen", "chow"], ["comedy", "martial arts"],
+        ["soccer", "2004", "soccer"], ["nonexistent", "comedy"], [],
+    ]
+    for q in queries:
+        for cutoff in (1, 3, 100):
+            want = brute_force_recall(fact_sets, q, cutoff)
+            for budget in RECALL_BUDGETS:
+                assert small_kb.recall(q, cutoff, budget) == want[:budget]
+
+
+def test_recall_takes_rarest_token_first_and_caps(small_kb):
+    # "martial arts" is in 1 fact, "comedy" in 3: its fact comes first
+    comedy = small_kb.word_index["comedy"]
+    (martial,) = small_kb.word_index["martial arts"]
+    got = small_kb.recall(["comedy", "martial arts"], 500, None)
+    assert got[0] == martial
+    assert got[1:] == [f for f in comedy if f != martial]
+    assert small_kb.recall(["comedy", "martial arts"], 500, 2) == got[:2]
+    assert small_kb.recall(["comedy"], 500, 0) == []
+
+
+def test_recall_rejects_bad_cutoff(small_kb):
+    with pytest.raises(ValueError):
+        small_kb.recall(["comedy"], 0, 5)
+
+
 def test_hash_lookup_matches_brute_force(small_kb):
     queries = [
         ["kung fu hustle"], ["stephen", "chow"], ["comedy"],
@@ -129,3 +181,7 @@ def test_hash_lookup_property(kb_rng, cutoff):
     got = kb.hash_lookup(tokens, cutoff)
     assert got == brute_force_lookup(kb, tokens, cutoff)
     assert got == sorted(set(got))
+    query = tokens + tokens[:1] + ["never a fact token"]
+    want = brute_force_recall(fact_token_sets(kb), query, cutoff)
+    for budget in RECALL_BUDGETS:
+        assert kb.recall(query, cutoff, budget) == want[:budget]

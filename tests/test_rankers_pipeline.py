@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -215,3 +217,20 @@ def test_pool_cache_never_returns_a_stale_entry(pool_setup, kind):
             np.testing.assert_array_equal(ranker.score(other)[1], fresh(kind).score(other)[1])
         del other
     assert ranker.rank(ex) == fresh(kind).rank(ex)
+
+
+@pytest.mark.parametrize("kind", ["memn2n", "supemb", "ir"])
+def test_ranker_is_freed_with_its_last_reference(pool_setup, kind):
+    """No reference cycle keeps a ranker and its pool cache alive: evaluating
+    with one ranker after another must not hold each one's memory until the
+    garbage collector's next full pass."""
+    test, fresh = pool_setup
+    ranker = fresh(kind)
+    evaluate(ranker, test[:3], k=10)
+    ref = weakref.ref(ranker)
+    gc.disable()
+    try:
+        del ranker
+        assert ref() is None
+    finally:
+        gc.enable()

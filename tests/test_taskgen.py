@@ -161,6 +161,13 @@ def test_gen_discussion_needs_enough_pool(sources):
         gen_discussion(threads, (huge, huge), 0)
 
 
+@pytest.mark.parametrize("sizes", [(0, 5), (5, 0), (-1, 5)])
+def test_gen_discussion_refuses_empty_pools(sources, sizes):
+    _, _, threads = sources
+    with pytest.raises(DataError, match="pool sizes must be >= 1"):
+        gen_discussion(threads, sizes, 0)
+
+
 # -- joint -------------------------------------------------------------------
 
 

@@ -57,6 +57,15 @@ def test_entity_wins_length_ties():
     assert v.is_entity(tid)
 
 
+def test_generator_corpus_builds_the_list_vocabulary():
+    corpus = ["i saw kung fu hustle twice", "kung fu hustle is great"]
+    from_list = make_vocab(["kung fu hustle"], corpus)
+    from_gen = make_vocab(["kung fu hustle"], iter(corpus))
+    assert from_list.counts[from_list.index["kung fu hustle"]] == 2
+    assert (from_gen.symbols, from_gen.entity_flags, from_gen.counts) == \
+        (from_list.symbols, from_list.entity_flags, from_list.counts)
+
+
 def test_unknown_words_map_to_unk():
     v = make_vocab([], ["a a a"])
     assert tokenize(v, "b c") == [UNK_ID, UNK_ID]

@@ -1,10 +1,11 @@
 """Dataset files: bAbI-dialog style text plus a JSONL metadata sidecar.
 
 Dialog lines look like ``n user_text\treply_text`` with n restarting at 1 for
-every dialog.  Multiple gold answers are joined by '|'.  The sidecar carries
-one JSON object per example line: global line number, task tag, question
-class, response position and dialog id.  Explicit candidate pools live in
-their own one-response-per-line files.
+every dialog.  A line's reply is `taskgen.reply_text` of its gold, which
+joins multiple answers by '|'; a later line's context quotes it as the
+generator did.  The sidecar carries one JSON object per example line:
+global line number, task tag, question class, response position and dialog
+id.  Explicit candidate pools live in their own one-response-per-line files.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import os
 
 from dialeval import DataError
-from dialeval.taskgen import Example
+from dialeval.taskgen import Example, reply_text
 
 
 def _clean(text: str) -> str:
@@ -34,7 +35,7 @@ def write_examples(path, examples: list[Example]) -> None:
                         f"dialog {ex.dialog_id} does not start at position 1")
                 prev_dialog = ex.dialog_id
             lineno += 1
-            reply = "|".join(_clean(g) for g in ex.gold)
+            reply = _clean(reply_text(ex.gold))
             f.write(f"{ex.response_position} {_clean(ex.input)}\t{reply}\n")
             mf.write(json.dumps({
                 "line": lineno,
@@ -95,7 +96,7 @@ def read_examples(path, pool: list[str] | None = None) -> list[Example]:
                 dialog_id=meta["dialog"],
                 candidate_pool=shared_pool if meta["task"] == "discussion" else None,
             ))
-            context.append((user_text, reply))
+            context.append((user_text, reply))  # reply_text(gold), as written
     if len(out) != len(metas):
         raise DataError(f"{path}: line/metadata count mismatch")
     return out

@@ -255,20 +255,22 @@ def _people(rng: random.Random, n: int) -> list[str]:
     return rng.sample(combos, n)
 
 
+MENTION_PROB = 0.9  # share of synthetic thread sentences that name a movie
+
+
 def gen_synthetic_sources(
     seed: int,
     n_movies: int,
     n_people: int,
     n_users: int,
     n_threads: int,
-    mention_prob: float = 0.9,
     pool_size: int = 200,
 ) -> tuple[KnowledgeBase, Ratings, ThreadCorpus]:
     """Deterministic desk-scale stand-in for the real movie/ratings/forum dumps.
 
     Every movie carries all 8 relations; every user ends with at least 9
     five-star movies so recommendation sampling never starves; thread texts
-    mention KB entities with probability mention_prob.
+    mention KB entities with probability MENTION_PROB.
     """
     if min(n_movies, n_people, n_users, n_threads) < 1:
         raise DataError("all synthetic sizes must be >= 1")
@@ -316,7 +318,7 @@ def gen_synthetic_sources(
     ratings = Ratings(user_ids, by_user)
 
     def sentence(templates: list[str]) -> str:
-        if rng.random() < mention_prob:
+        if rng.random() < MENTION_PROB:
             return rng.choice(templates).format(m=kb.entities[rng.choice(movie_ids)])
         return rng.choice(_THREAD_PLAIN)
 

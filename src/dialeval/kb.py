@@ -9,9 +9,8 @@ and by the full entity surface forms they contain, so a mention of either
 
 from __future__ import annotations
 
-import re
-
 from dialeval import DataError
+from dialeval.text import normalize
 
 RELATIONS = (
     "directed_by",
@@ -27,13 +26,10 @@ RELATIONS = (
 _RELATION_SET = frozenset(RELATIONS)
 
 
-_PUNCT = re.compile(r"[^a-z0-9_\s]+")
-
-
 def normalize_entity(surface: str) -> str:
-    # same normalization as the tokenizer, so entity surfaces and dictionary
+    # the tokenizer's normalization, so entity surfaces and dictionary
     # symbols coincide exactly
-    return " ".join(_PUNCT.sub(" ", surface.lower()).split())
+    return " ".join(normalize(surface))
 
 
 class KnowledgeBase:
@@ -69,9 +65,6 @@ class KnowledgeBase:
 
     def entity_id(self, surface: str) -> int | None:
         return self._entity_ids.get(normalize_entity(surface))
-
-    def entity(self, eid: int) -> str:
-        return self.entities[eid]
 
     def is_movie(self, surface: str) -> bool:
         eid = self.entity_id(surface)

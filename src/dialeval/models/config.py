@@ -1,10 +1,13 @@
-"""Shared training hyperparameters."""
+"""Shared training hyperparameters and the one SGD epoch loop that trains
+every model (memn2n, supervised embeddings, matrix factorization)."""
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from dialeval import DataError
+import numpy as np
+
+from dialeval import DataError, NumericalError
 
 INIT_STD = 0.1  # all parameters start i.i.d. normal(0, INIT_STD)
 
@@ -54,5 +57,44 @@ class TrainConfig:
             if key not in fields:
                 raise DataError(f"unknown config key {key!r}")
             typ = fields[key].type
-            kwargs[key] = float(value) if typ == "float" else int(value)
+            try:
+                kwargs[key] = float(value) if typ == "float" else int(value)
+            except ValueError:
+                raise DataError(f"{key}={value!r}: expected {typ}") from None
         return cls(**kwargs).validate()
+
+
+def check_finite(**arrays: np.ndarray) -> None:
+    """Raise NumericalError naming the first array with a non-finite value."""
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise NumericalError(f"non-finite values in {name}")
+
+
+def sgd_epochs(n: int, step, check, epochs: int, rng, log_fn=None) -> list[float]:
+    """Plain SGD over n examples: each epoch shuffles their indices with `rng`
+    (the trainer's own `random.Random` or numpy `Generator`) and calls
+    `step(i)`, which updates the parameters and returns example i's loss;
+    then `check()` raises NumericalError on non-finite parameters.  Errors
+    name the epoch and example.  Returns, and logs, each epoch's mean loss."""
+    if n < 1:
+        raise NumericalError("empty training data")
+    order = list(range(n))
+    epoch_losses = []
+    for epoch in range(epochs):
+        rng.shuffle(order)
+        total = 0.0
+        for i in order:
+            try:
+                total += step(i)
+            except NumericalError as e:
+                raise NumericalError(f"epoch {epoch} example {i}: {e}") from e
+        try:
+            check()
+        except NumericalError as e:
+            raise NumericalError(f"after epoch {epoch}: {e}") from e
+        mean_loss = total / n
+        epoch_losses.append(mean_loss)
+        if log_fn:
+            log_fn(epoch, mean_loss)
+    return epoch_losses

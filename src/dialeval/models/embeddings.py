@@ -3,7 +3,8 @@
 Two flavors: a single-dictionary model scoring (Ux)·(Uy) and a
 two-dictionary model scoring (U_in x)·(U_out y).  Context and input are
 concatenated into one bag on the query side.  Training minimizes a margin
-ranking (hinge) loss against sampled negatives by SGD.
+ranking (hinge) loss against sampled negatives by SGD, in the epoch loop
+that every model shares (`config.sgd_epochs`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 import numpy as np
 
 from dialeval import NumericalError
-from dialeval.models.config import INIT_STD, TrainConfig
+from dialeval.models.config import INIT_STD, TrainConfig, check_finite, sgd_epochs
 
 SINGLE_DICT = "single_dict"
 TWO_DICT = "two_dict"
@@ -154,30 +155,18 @@ def embed_train(
 ) -> tuple[EmbedParams, list[float]]:
     """SGD over (query bag, gold bag) pairs with uniform negatives from neg_pool."""
     cfg.validate()
-    if not data:
-        raise NumericalError("empty training data")
-    all_bags = [b for pair in data for b in pair] + list(neg_pool)
-    V = params.vocab_size if params else max(
-        (max(b) for b in all_bags if b), default=0) + 1
     if params is None:
+        all_bags = [b for pair in data for b in pair] + list(neg_pool)
+        V = max((max(b) for b in all_bags if b), default=0) + 1
         params = init_embed(V, cfg.dim, variant, cfg.seed)
     rng = random.Random(cfg.seed)
-    order = list(range(len(data)))
-    epoch_losses = []
-    for epoch in range(cfg.epochs):
-        rng.shuffle(order)
-        total = 0.0
-        for i in order:
-            x, y_pos = data[i]
-            negs = [neg_pool[rng.randrange(len(neg_pool))] for _ in range(cfg.n_neg)]
-            try:
-                total += hinge_step(params, x, y_pos, negs, cfg.margin, cfg.learning_rate)
-            except NumericalError as e:
-                raise NumericalError(f"epoch {epoch} example {i}: {e}") from e
-        if not (np.all(np.isfinite(params.U_in)) and np.all(np.isfinite(params.U_out))):
-            raise NumericalError(f"non-finite parameters after epoch {epoch}")
-        mean_loss = total / len(data)
-        epoch_losses.append(mean_loss)
-        if log_fn:
-            log_fn(epoch, mean_loss)
+
+    def step(i: int) -> float:
+        x, y_pos = data[i]
+        negs = [neg_pool[rng.randrange(len(neg_pool))] for _ in range(cfg.n_neg)]
+        return hinge_step(params, x, y_pos, negs, cfg.margin, cfg.learning_rate)
+
+    epoch_losses = sgd_epochs(
+        len(data), step, lambda: check_finite(U_in=params.U_in, U_out=params.U_out),
+        cfg.epochs, rng, log_fn)
     return params, epoch_losses

@@ -3,13 +3,15 @@
 Header: magic 'DLEV', format version, model kind, d, V, K, w (all little
 endian), then named row-major float64 matrices.  A plain-text sidecar
 (<path>.cfg) records the TrainConfig used; loading a model requires it, and
-every matrix the kind needs must have the shape the header gives.  Ranking
+every matrix the kind needs must have the shape the header gives.  A file
+that ends early or runs on past its last matrix is refused.  Ranking
 also needs the vocabulary (<path>.vocab): `load_for_ranking` checks the
 three files against each other.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 
 import numpy as np
@@ -39,16 +41,19 @@ def _write_matrix(f, name: str, arr: np.ndarray) -> None:
     f.write(arr.tobytes())
 
 
-def _read_matrix(f) -> tuple[str, np.ndarray]:
-    head = f.read(16)
-    if len(head) != 16:
-        raise DataError("truncated model file")
-    name, rows, cols = struct.unpack("<8sII", head)
-    data = f.read(rows * cols * 8)
-    if len(data) != rows * cols * 8:
-        raise DataError("truncated matrix data")
+def _read(f: io.BytesIO, path, n: int) -> bytes:
+    """Exactly n bytes of the model file, or DataError naming it; a size
+    read from a damaged header is checked before anything is allocated."""
+    if n > len(f.getbuffer()) - f.tell():
+        raise DataError(f"{path}: truncated model file")
+    return f.read(n)
+
+
+def _read_matrix(f, path) -> tuple[str, np.ndarray]:
+    name, rows, cols = struct.unpack("<8sII", _read(f, path, 16))
+    data = _read(f, path, rows * cols * 8)
     arr = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
-    return name.rstrip(b"\x00 ").decode(), arr
+    return name.rstrip(b"\x00 ").decode("latin-1"), arr
 
 
 def save_model(path, kind: str, matrices: list[tuple[str, np.ndarray]],
@@ -66,15 +71,18 @@ def save_model(path, kind: str, matrices: list[tuple[str, np.ndarray]],
 
 def load_model(path):
     """Returns (kind, params object, cfg, header dict)."""
-    with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise DataError(f"{path}: not a model file")
-        version, kind_b, d, V, K, w = struct.unpack("<I8sIIII", f.read(28))
-        if version != VERSION:
-            raise DataError(f"{path}: unsupported model format version {version}")
-        kind = kind_b.rstrip(b"\x00 ").decode()
-        (n_matrices,) = struct.unpack("<I", f.read(4))
-        matrices = dict(_read_matrix(f) for _ in range(n_matrices))
+    with open(path, "rb") as fh:
+        f = io.BytesIO(fh.read())
+    if f.read(4) != MAGIC:
+        raise DataError(f"{path}: not a model file")
+    version, kind_b, d, V, K, w = struct.unpack("<I8sIIII", _read(f, path, 28))
+    if version != VERSION:
+        raise DataError(f"{path}: unsupported model format version {version}")
+    kind = kind_b.rstrip(b"\x00 ").decode("latin-1")
+    (n_matrices,) = struct.unpack("<I", _read(f, path, 4))
+    matrices = dict(_read_matrix(f, path) for _ in range(n_matrices))
+    if f.read(1):
+        raise DataError(f"{path}: bytes after the last matrix")
     cfg = _load_cfg(str(path) + ".cfg")
     header = {"d": d, "V": V, "K": K, "w": w}
     _check_shapes(path, kind, matrices, header)
@@ -106,7 +114,10 @@ def _load_cfg(path) -> TrainConfig:
             lines = [ln for ln in f if not ln.startswith("kind=")]
     except FileNotFoundError:
         raise DataError(f"{path}: missing model config sidecar") from None
-    return TrainConfig.from_text("".join(lines))
+    try:
+        return TrainConfig.from_text("".join(lines))
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 # the matrices each model needs, by kind and, where it matters, w

@@ -15,9 +15,11 @@ embedding columns the example's bags name, leaving the same bits.
 
 Token bags are dicts where they are built; every product reads them in one
 packed form, `PackedBags` (concatenated ids and counts with per-bag
-lengths).  A candidate list is packed once per `memn2n_train` call or per
-ranker pool, and an example's memories once per forward pass, which the
-training step reuses for its update.
+lengths).  `prepare_memn2n` packs each example's own candidate list once,
+`memn2n_train` packs the shared entity list once per call, a ranker packs
+each pool once, and `memn2n_forward` packs an example's memories once per
+pass, which the training step reuses for its update.  `memn2n_train` runs
+the SGD epoch loop every model shares (`config.sgd_epochs`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from dialeval import NumericalError
 from dialeval.kb import KnowledgeBase
-from dialeval.models.config import INIT_STD, TrainConfig
+from dialeval.models.config import INIT_STD, TrainConfig, check_finite, sgd_epochs
 from dialeval.models.embeddings import as_arrays
 from dialeval.text import Vocabulary, bag, tokenize
 
@@ -77,10 +79,7 @@ class MemN2NParams:
         return 2 if self.A_mem is self.A_in else 3
 
     def check_finite(self) -> None:
-        for name, arr in (("A_in", self.A_in), ("A_mem", self.A_mem),
-                          ("W", self.W), ("R", self.R), ("T", self.T)):
-            if not np.all(np.isfinite(arr)):
-                raise NumericalError(f"non-finite values in {name}")
+        check_finite(A_in=self.A_in, A_mem=self.A_mem, W=self.W, R=self.R, T=self.T)
 
 
 def init_memn2n(V: int, d: int, hops: int, max_memories: int,
@@ -150,9 +149,6 @@ class PackedBags:
     """The one packed form of a list of token bags: concatenated (ids, counts)
     arrays with per-bag lengths, so that scoring, embedding and the training
     step read embedding rows without walking the bags as dicts.
-    `memn2n_train` packs each candidate list once, and `memn2n_forward`
-    packs an example's memories once for both the forward pass and the
-    update.
 
     Entries keep each bag's `as_arrays` order.  What only an update needs is
     computed on first use: `bag` names the bag of every entry, `touched` the
@@ -266,10 +262,6 @@ def memn2n_forward(
     return scores, attentions
 
 
-def memn2n_distribution(scores: np.ndarray) -> np.ndarray:
-    return _softmax(scores)
-
-
 def _backprop_hops(p: MemN2NParams, cache: dict, dq: np.ndarray):
     """From dL/du_K back through the hops: dL/du_0, dL/dM and dL/dR."""
     M, us, attentions = cache["M"], cache["us"], cache["attentions"]
@@ -290,30 +282,34 @@ def _backprop_hops(p: MemN2NParams, cache: dict, dq: np.ndarray):
     return du, dM, dR
 
 
-def memn2n_grads(
-    ms: MemoryState,
-    candidate_bags: list[dict[int, int]],
-    gold_idx: int,
-    p: MemN2NParams,
-):
+def _forward_loss(ms: MemoryState, candidates: PackedBags, gold_idx: int,
+                  p: MemN2NParams):
+    """Forward cache, loss -log softmax(scores)[gold] and dL/dscores."""
+    if not len(candidates):
+        raise NumericalError("no candidates to score")
+    cache: dict = {}
+    scores, _ = memn2n_forward(ms, [], p, G=candidates.matrix(p.W), _cache=cache)
+    dist = _softmax(scores)
+    loss = -float(np.log(max(dist[gold_idx], 1e-300)))
+    dz = dist.copy()
+    dz[gold_idx] -= 1.0
+    return cache, loss, dz
+
+
+def memn2n_grads(ms: MemoryState, candidates: PackedBags, gold_idx: int,
+                 p: MemN2NParams):
     """Loss -log softmax(scores)[gold] and dense gradients for every
     parameter matrix (A_in / A_mem / W reported separately even when tied).
     Training does not call this; it is the reference that the
     finite-difference tests check and that `memn2n_train_step` matches."""
-    cache: dict = {}
-    scores, _ = memn2n_forward(ms, candidate_bags, p, _cache=cache)
-    dist = _softmax(scores)
-    loss = -float(np.log(max(dist[gold_idx], 1e-300)))
-
-    dz = dist.copy()
-    dz[gold_idx] -= 1.0
+    cache, loss, dz = _forward_loss(ms, candidates, gold_idx, p)
 
     dW = np.zeros_like(p.W)
     q = cache["us"][-1]
-    for c, y in enumerate(candidate_bags):
-        ids, counts = as_arrays(y)
-        if ids.size:
-            dW[ids] += dz[c] * np.outer(counts, q)
+    for c, (start, stop) in enumerate(candidates.spans()):
+        if stop > start:
+            dW[candidates.ids[start:stop]] += dz[c] * np.outer(
+                candidates.counts[start:stop], q)
     # dq = sum_c dz_c W^T y_c
     du, dM, dR = _backprop_hops(p, cache, cache["G"].T @ dz)
 
@@ -331,34 +327,21 @@ def memn2n_grads(
     return loss, {"A_in": dA_in, "A_mem": dA_mem, "W": dW, "R": dR, "T": dT}
 
 
-def memn2n_train_step(
-    ms: MemoryState,
-    candidates: list[dict[int, int]] | PackedBags,
-    gold_idx: int,
-    p: MemN2NParams,
-    lr: float,
-) -> float:
+def memn2n_train_step(ms: MemoryState, candidates: PackedBags, gold_idx: int,
+                      p: MemN2NParams, lr: float) -> float:
     """One SGD step on -log softmax(scores)[gold].  Only the embedding columns
     that the input, memory and candidate bags name are read and written, yet
     every parameter ends bit for bit where subtracting lr * memn2n_grads(...)
     from A_in, A_mem, W, R and T, in that order, would leave it: the same
     products are summed in the same order, and the columns no bag names
     would only have had zero subtracted."""
-    cands = candidates if isinstance(candidates, PackedBags) else PackedBags(candidates)
-    if not len(cands):
-        raise NumericalError("no candidates to score")
-    cache: dict = {}
-    scores, _ = memn2n_forward(ms, [], p, G=cands.matrix(p.W), _cache=cache)
-    dist = _softmax(scores)
-    loss = -float(np.log(max(dist[gold_idx], 1e-300)))
+    cache, loss, dz = _forward_loss(ms, candidates, gold_idx, p)
     if not np.isfinite(loss):
         raise NumericalError("non-finite cross-entropy loss")
-    dz = dist.copy()
-    dz[gold_idx] -= 1.0
 
     # dense: dW[ids_c] += dz_c * outer(counts_c, q), bag by bag
     q = cache["us"][-1]
-    dW_rows = cands.sum_by_id(dz[cands.bag, None] * (cands.counts[:, None] * q))
+    dW_rows = candidates.sum_by_id(dz[candidates.bag, None] * (candidates.counts[:, None] * q))
     du, dM, dR = _backprop_hops(p, cache, cache["G"].T @ dz)
     # dense: dA_mem[:, ids_i] += outer(dM_i, counts_i) and dT[slot_i] += dM_i
     memories = cache["memories"]
@@ -371,7 +354,7 @@ def memn2n_train_step(
         p.A_in[:, ids] -= lr * np.outer(du, counts)
     p.A_mem[:, memories.touched] -= lr * dA_mem.T  # A_mem may be A_in itself
     # W may be a transposed view of A_in: the update writes through it
-    p.W[cands.touched] -= lr * dW_rows
+    p.W[candidates.touched] -= lr * dW_rows
     p.R -= lr * dR
     p.T -= lr * dT
     return loss
@@ -381,41 +364,28 @@ def memn2n_train_step(
 class PreparedExample:
     state: MemoryState
     gold_indices: list[int]   # indices into the candidate list
-    candidate_bags: list[dict[int, int]] | None = None  # None: shared set
+    candidates: PackedBags | None = None  # None: the shared set
 
 
 def memn2n_train(
     prepared: list[PreparedExample],
-    shared_candidates: list[dict[int, int]] | None,
+    shared_candidates: list[dict[int, int]],
     params: MemN2NParams,
     cfg: TrainConfig,
     log_fn=None,
 ) -> list[float]:
-    """SGD epochs over prepared examples; multi-gold examples train against a
-    seeded-random gold each step.  Returns per-epoch mean losses."""
+    """SGD epochs over prepared examples, each against its own candidates or
+    else the shared list, packed here once per call; multi-gold examples
+    train against a seeded-random gold each step.  Returns per-epoch mean
+    losses."""
     cfg.validate()
-    if not prepared:
-        raise NumericalError("empty training data")
-    shared = PackedBags(shared_candidates) if shared_candidates is not None else None
-    own = [PackedBags(ex.candidate_bags) if ex.candidate_bags is not None else None
-           for ex in prepared]
+    shared = PackedBags(shared_candidates)
     rng = random.Random(cfg.seed)
-    order = list(range(len(prepared)))
-    epoch_losses = []
-    for epoch in range(cfg.epochs):
-        rng.shuffle(order)
-        total = 0.0
-        for i in order:
-            ex = prepared[i]
-            cands = own[i] if own[i] is not None else shared
-            gold = ex.gold_indices[rng.randrange(len(ex.gold_indices))]
-            try:
-                total += memn2n_train_step(ex.state, cands, gold, params, cfg.learning_rate)
-            except NumericalError as e:
-                raise NumericalError(f"epoch {epoch} example {i}: {e}") from e
-        params.check_finite()
-        mean_loss = total / len(prepared)
-        epoch_losses.append(mean_loss)
-        if log_fn:
-            log_fn(epoch, mean_loss)
-    return epoch_losses
+
+    def step(i: int) -> float:
+        ex = prepared[i]
+        gold = ex.gold_indices[rng.randrange(len(ex.gold_indices))]
+        cands = shared if ex.candidates is None else ex.candidates
+        return memn2n_train_step(ex.state, cands, gold, params, cfg.learning_rate)
+
+    return sgd_epochs(len(prepared), step, params.check_finite, cfg.epochs, rng, log_fn)

@@ -4,11 +4,13 @@ five-star history and items are ranked by predicted score."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from dialeval import NumericalError
 from dialeval.ingest import Ratings
-from dialeval.models.config import INIT_STD
+from dialeval.models.config import INIT_STD, check_finite, sgd_epochs
 
 
 class MFParams:
@@ -25,9 +27,9 @@ class MFParams:
 
 
 def mf_train(ratings: Ratings, d: int, lr: float, epochs: int, seed: int = 0,
-             reg: float = 0.0, log_fn=None) -> tuple[MFParams, list[float]]:
-    if not any(ratings.by_user):
-        raise NumericalError("empty ratings matrix")
+             log_fn=None) -> tuple[MFParams, list[float]]:
+    """SGD on the squared error of every observed rating; returns the factors
+    and each epoch's mean squared error."""
     item_ids = ratings.movie_ids()
     item_index = {e: i for i, e in enumerate(item_ids)}
     triples = [
@@ -38,24 +40,20 @@ def mf_train(ratings: Ratings, d: int, lr: float, epochs: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     P = rng.normal(0.0, INIT_STD, size=(ratings.n_users, d))
     Q = rng.normal(0.0, INIT_STD, size=(len(item_ids), d))
-    order = np.arange(len(triples))
-    epoch_losses = []
-    for epoch in range(epochs):
-        rng.shuffle(order)
-        total = 0.0
-        for idx in order:
-            u, i, r = triples[idx]
-            err = r - float(P[u] @ Q[i])
-            total += err * err
-            pu = P[u].copy()
-            P[u] += lr * (err * Q[i] - reg * P[u])
-            Q[i] += lr * (err * pu - reg * Q[i])
-        if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
-            raise NumericalError(f"factorization diverged at epoch {epoch}")
-        mse = total / len(triples)
-        epoch_losses.append(mse)
-        if log_fn:
-            log_fn(epoch, mse)
+
+    def step(idx: int) -> float:
+        u, i, r = triples[idx]
+        err = r - float(P[u] @ Q[i])
+        loss = err * err
+        if not math.isfinite(loss):
+            raise NumericalError("non-finite squared error")
+        pu = P[u].copy()
+        P[u] += lr * (err * Q[i])
+        Q[i] += lr * (err * pu)
+        return loss
+
+    epoch_losses = sgd_epochs(len(triples), step, lambda: check_finite(P=P, Q=Q),
+                              epochs, rng, log_fn)
     return MFParams(P, Q, item_ids), epoch_losses
 
 

@@ -47,7 +47,7 @@ def cosine(v1: dict[int, float], v2: dict[int, float]) -> float:
 
 class TfIdfModel:
     """idf table plus optional (message, response) training pairs for
-    relevance feedback."""
+    relevance feedback, whose messages are weighted and normed once here."""
 
     def __init__(self, idf: dict[int, float],
                  train_pairs: list[tuple[dict[int, int], dict[int, int]]] | None = None,
@@ -55,6 +55,7 @@ class TfIdfModel:
         self.idf = idf
         self.train_pairs = train_pairs or []
         self.rf_weight = rf_weight
+        self._messages = self.candidates([msg for msg, _ in self.train_pairs])
 
     @classmethod
     def fit(cls, train_bags: list[dict[int, int]],
@@ -64,9 +65,11 @@ class TfIdfModel:
     def query_vector(self, query_bag: dict[int, int]) -> dict[int, float]:
         v = tfidf_vector(query_bag, self.idf)
         if self.rf_weight > 0.0 and self.train_pairs:
+            nv = vector_norm(v)
             best, best_sim = None, -1.0
-            for msg, resp in self.train_pairs:
-                sim = cosine(v, tfidf_vector(msg, self.idf))
+            for (msg, nm), (_, resp) in zip(self._messages, self.train_pairs):
+                # `cosine`, bit for bit, with both norms known
+                sim = d / (nv * nm) if (d := dot(v, msg)) != 0.0 else 0.0
                 if sim > best_sim:
                     best, best_sim = resp, sim
             if best is not None:

@@ -9,9 +9,9 @@ from dialeval import DataError
 from dialeval.ingest import Ratings
 from dialeval.kb import KnowledgeBase
 from dialeval.models import TrainConfig
-from dialeval.models.embeddings import EmbedParams, embed_train, init_embed
+from dialeval.models.embeddings import embed_train, init_embed
 from dialeval.models.memn2n import (
-    MemN2NParams, PreparedExample, build_memory, init_memn2n, memn2n_train,
+    PackedBags, PreparedExample, build_memory, init_memn2n, memn2n_train,
 )
 from dialeval.models.mf import mf_train
 from dialeval.models.rankers import (
@@ -71,7 +71,10 @@ def train_supemb(examples: list[Example], vocab: Vocabulary, cfg: TrainConfig,
 
 def prepare_memn2n(examples: list[Example], vocab: Vocabulary,
                    kb: KnowledgeBase | None, cfg: TrainConfig, seed: int = 0):
-    """Featurize examples once (memory states reused across epochs)."""
+    """Featurize examples once (memory states reused across epochs).  A
+    discussion example's candidates, its gold and sampled negatives, are
+    packed here; the entity examples share the entity table's bags, which
+    `memn2n_train` packs."""
     entities = EntityCandidates(vocab)
     rng = random.Random(seed)
     prepared: list[PreparedExample] = []
@@ -82,7 +85,7 @@ def prepare_memn2n(examples: list[Example], vocab: Vocabulary,
             # gold plus sampled negatives from the other training responses
             negs = [train_responses[rng.randrange(len(train_responses))]
                     for _ in range(cfg.n_neg)]
-            cands = [bag(tokenize(vocab, c)) for c in [ex.gold[0], *negs]]
+            cands = PackedBags([bag(tokenize(vocab, c)) for c in [ex.gold[0], *negs]])
             prepared.append(PreparedExample(ms, [0], cands))
         else:
             golds = entities.gold_indices(ex)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from dialeval import DataError
 from dialeval.ingest import Ratings, ThreadCorpus
@@ -48,6 +48,13 @@ class Example:
         if self.candidate_pool is None:
             raise DataError("example ranks the entity table, not an explicit list")
         return [self.gold[0], *self.candidate_pool]
+
+
+def reply_text(gold: tuple[str, ...]) -> str:
+    """The reply to an exchange with this gold set, as its dialog line in a
+    split file holds it and as a later turn's context quotes it: the answers
+    joined by '|' (the one response, for discussion)."""
+    return "|".join(gold)
 
 
 def _answer_set(kb: KnowledgeBase, qclass: str, subject: str) -> set[str]:
@@ -271,22 +278,25 @@ def _try_dialog(kb, ratings, templates, rng, eligible):
         return None
     preference = fill(rng.choice(templates.dialog_preference), value=value)
 
-    reply1 = gold1
-    reply2 = ", ".join(answers2)
+    gold2 = tuple(answers2)
+    reply1, reply2 = reply_text((gold1,)), reply_text(gold2)
     return [
         ([], opener, (gold1,), None),
-        ([(opener, reply1)], question, tuple(answers2), qclass),
+        ([(opener, reply1)], question, gold2, qclass),
         ([(opener, reply1), (question, reply2)], preference, gold3, None),
     ]
+
+
+DISCUSSION_SPLIT = (0.8, 0.1, 0.1)  # train, dev, test shares of the dialogs
 
 
 def gen_discussion(
     threads: ThreadCorpus,
     pool_sizes: tuple[int, int],
     seed: int,
-    split: tuple[float, float, float] = (0.8, 0.1, 0.1),
 ) -> tuple[list[Example], list[Example], list[Example], list[str], list[str]]:
-    """One ranking example per exchange with full prior context.
+    """One ranking example per exchange with full prior context; the
+    dialogs are split DISCUSSION_SPLIT between train, dev and test.
 
     Dev and test examples carry explicit candidate lists: the gold response
     plus a shared negative pool.  Pools are taken from the corpus's held-out
@@ -315,8 +325,8 @@ def gen_discussion(
     order = list(range(len(threads.dialogs)))
     rng.shuffle(order)
     n = len(order)
-    n_train = int(round(split[0] * n))
-    n_dev = int(round(split[1] * n))
+    n_train = int(round(DISCUSSION_SPLIT[0] * n))
+    n_dev = int(round(DISCUSSION_SPLIT[1] * n))
     buckets = (order[:n_train], order[n_train:n_train + n_dev], order[n_train + n_dev:])
 
     def examples(dialog_ids, pool: tuple[str, ...] | None) -> list[Example]:

@@ -8,7 +8,7 @@ line, '#' comments.  Slots are written [@movie], [@actor], [@movies],
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from dialeval import DataError
 
@@ -69,7 +69,6 @@ class TemplateSet:
     dialog_opener: list[str]          # liked list + topic constraint
     dialog_question: dict[str, list[str]]   # anaphoric factoid by property
     dialog_preference: list[str]      # alternative request with stated property
-    extra: dict[str, list[str]] = field(default_factory=dict)
 
     def validate(self) -> None:
         for cls, patterns in self.qa.items():

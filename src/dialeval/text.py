@@ -69,9 +69,15 @@ class Vocabulary:
                 parts = line.rstrip("\n").split("\t")
                 if len(parts) != 3:
                     raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+                try:
+                    counts.append(int(parts[1]))
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: count {parts[1]!r} is not an "
+                                    "integer") from None
                 symbols.append(parts[0])
-                counts.append(int(parts[1]))
                 flags.append(parts[2] == "E")
+        if symbols[:2] != [NULL_TOKEN, UNK_TOKEN]:
+            raise DataError(f"{path}: must start with {NULL_TOKEN} and {UNK_TOKEN}")
         return cls(symbols, flags, counts)
 
 

@@ -21,7 +21,7 @@ from dialeval.models.embeddings import (
     EmbedParams, embed_sum, hinge_loss_and_grads, init_embed,
 )
 from dialeval.models.memn2n import (
-    MemoryState, init_memn2n, memn2n_distribution, memn2n_forward, memn2n_grads,
+    MemoryState, PackedBags, _softmax, init_memn2n, memn2n_forward, memn2n_grads,
     memn2n_train,
 )
 from dialeval.models.rankers import RandomRanker, rank_by_score
@@ -71,6 +71,7 @@ def test_criterion_1_gradient_oracle():
         rng = random.Random(100)
         for _ in range(60):
             p, ms, cands, gold = random_memn2n_instance(rng)
+            cands = PackedBags(cands)
 
             def ce():
                 return memn2n_grads(ms, cands, gold, p)[0]
@@ -110,7 +111,7 @@ def test_criterion_2_normalization():
             assert len(attentions) == p.hops
             for a in attentions:
                 assert abs(float(a.sum()) - 1.0) < 1e-6
-            dist = memn2n_distribution(scores)
+            dist = _softmax(scores)
             assert abs(float(dist.sum()) - 1.0) < 1e-6
 
 

@@ -243,3 +243,24 @@ def test_eval_and_chat_reject_vocab_of_other_size(qa_dir, tmp_path, capsys,
     monkeypatch.setattr("builtins.input", no_input)
     assert run(["chat", "--data", qa_dir, "--model-file", model]) == 2
     assert "m.bin.vocab" in capsys.readouterr().err
+
+
+def test_eval_refuses_damaged_model_files(qa_dir, tmp_path, capsys):
+    """A model file cut inside its header, a .cfg value of the wrong type and
+    a .vocab count that is not a number each exit 2 with the file named."""
+    model = _trained(qa_dir, tmp_path, "supemb")
+    data = model.read_bytes()
+    for cut in (4, 20, 35):
+        model.write_bytes(data[:cut])
+        _eval_refused(qa_dir, model, capsys, "m.bin: truncated model file")
+    model.write_bytes(data)
+    cfg = tmp_path / "m.bin.cfg"
+    text = cfg.read_text()
+    cfg.write_text(text.replace("epochs=1\n", "epochs=one\n"))
+    _eval_refused(qa_dir, model, capsys, "m.bin.cfg: epochs='one'")
+    cfg.write_text(text)
+    vocab = tmp_path / "m.bin.vocab"
+    lines = vocab.read_text().splitlines(keepends=True)
+    symbol, _, flag = lines[2].split("\t")
+    vocab.write_text("".join([*lines[:2], f"{symbol}\tmany\t{flag}", *lines[3:]]))
+    _eval_refused(qa_dir, model, capsys, "m.bin.vocab:3: count 'many'")

@@ -26,17 +26,9 @@ def test_multiturn_context_reconstructed(tmp_path):
     kb, ratings, _ = gen_synthetic_sources(2, 20, 15, 10, 10)
     examples = gen_qarecs(kb, ratings, DEFAULT_TEMPLATES, 0, 15)
     loaded = roundtrip(tmp_path, examples)
-    assert len(loaded) == len(examples)
-    for got, want in zip(loaded, examples):
-        assert got.input == want.input
-        assert got.gold == want.gold
-        assert got.response_position == want.response_position
-        assert got.task_tag == want.task_tag
-        assert got.question_class == want.question_class
-        # context turns: user text exact; reply text is the written gold line
-        assert len(got.context) == len(want.context)
-        for (gu, gr), (wu, wr) in zip(got.context, want.context):
-            assert gu == wu
+    assert any(len(ex.gold) > 1 and ex.response_position == 2 for ex in examples)
+    # a multi-answer reply in a later turn's context reads back as generated
+    assert loaded == examples
 
 
 def test_multi_gold_pipe_join(tmp_path):

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from dialeval.models import TrainConfig
 from dialeval.models.embeddings import SINGLE_DICT, TWO_DICT, init_embed
 from dialeval.models.io import (
     KIND_IR, KIND_MEMN2N, KIND_MF, KIND_SUPEMB,
-    load_model, save_ir, save_memn2n, save_mf, save_supemb,
+    load_for_ranking, load_model, save_ir, save_memn2n, save_mf, save_supemb,
 )
 from dialeval.models.memn2n import init_memn2n
 from dialeval.models.mf import MFParams
@@ -114,3 +116,68 @@ def test_deterministic_bytes(tmp_path):
     save_memn2n(a, init_memn2n(8, 3, 1, 4, seed=5), cfg)
     save_memn2n(b, init_memn2n(8, 3, 1, 4, seed=5), cfg)
     assert a.read_bytes() == b.read_bytes()
+
+
+SAVERS = {
+    KIND_MEMN2N: lambda path: save_memn2n(path, init_memn2n(7, 3, 2, 3, n_dicts=3, seed=2),
+                                          TrainConfig(dim=3, hops=2, n_dicts=3,
+                                                      max_memories=2)),
+    KIND_SUPEMB: lambda path: save_supemb(path, init_embed(7, 3, TWO_DICT, seed=2),
+                                          TrainConfig(dim=3, n_dicts=2)),
+    KIND_IR: lambda path: save_ir(path, TfIdfModel.fit([{2: 1, 3: 1}, {3: 1}], rf_weight=0.25),
+                                  V=6, cfg=TrainConfig()),
+    KIND_MF: lambda path: save_mf(path, MFParams(np.ones((2, 3)), np.ones((4, 3)),
+                                                 [5, 9, 2, 7]), TrainConfig(dim=3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SAVERS))
+def test_rejects_every_cut_and_a_trailing_byte(tmp_path, kind):
+    """A file cut at any offset, the 36-byte header included, or with one
+    byte appended, is a DataError naming the file."""
+    full = tmp_path / "full.bin"
+    SAVERS[kind](full)
+    data = full.read_bytes()
+    assert load_model(full)[0] == kind
+    damaged = tmp_path / "damaged.bin"
+    shutil.copy(f"{full}.cfg", f"{damaged}.cfg")
+    for variant in [data[:n] for n in range(len(data))] + [data + b"\0"]:
+        damaged.write_bytes(variant)
+        with pytest.raises(DataError, match="damaged.bin"):
+            load_model(damaged)
+
+
+@pytest.mark.parametrize("start,message", [
+    (36 + 8, "truncated model file"),  # first matrix: 2^32-1 rows and columns
+    (8, "model.bin: no .* model"),     # kind: bytes that are not UTF-8
+], ids=["size", "kind"])
+def test_rejects_damaged_header_field(tmp_path, start, message):
+    path = tmp_path / "model.bin"
+    save_supemb(path, init_embed(4, 2, TWO_DICT), TrainConfig())
+    data = bytearray(path.read_bytes())
+    data[start:start + 8] = b"\xff" * 8
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError, match=message):
+        load_model(path)
+
+
+def test_rejects_cfg_value_of_the_wrong_type(tmp_path):
+    path = tmp_path / "model.bin"
+    save_supemb(path, init_embed(4, 2, TWO_DICT), TrainConfig())
+    cfg = tmp_path / "model.bin.cfg"
+    cfg.write_text(cfg.read_text().replace("dim=50\n", "dim=fifty\n"))
+    with pytest.raises(DataError, match=r"model\.bin\.cfg: dim='fifty': expected int"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("<null>\t0\tU\n<unk>\t0\tU\nkelo\tmany\tE\n", r"model\.bin\.vocab:3: count 'many'"),
+    ("kelo\t3\tE\n<null>\t0\tU\n<unk>\t0\tU\n", r"model\.bin\.vocab: must start"),
+    ("", r"model\.bin\.vocab: must start"),
+], ids=["count", "order", "empty"])
+def test_rejects_damaged_vocab(tmp_path, text, message):
+    path = tmp_path / "model.bin"
+    save_supemb(path, init_embed(3, 2, TWO_DICT), TrainConfig())
+    (tmp_path / "model.bin.vocab").write_text(text)
+    with pytest.raises(DataError, match=message):
+        load_for_ranking(path)

@@ -8,9 +8,9 @@ from dialeval.ingest import gen_synthetic_sources
 from dialeval.models import TrainConfig
 from dialeval.models.embeddings import EmbedParams, embed_sum
 from dialeval.models.memn2n import (
-    LONG_TERM_SLOT, MemN2NParams, MemoryState, PreparedExample, build_memory,
-    candidate_matrix, init_memn2n, memn2n_distribution, memn2n_forward,
-    memn2n_grads, memn2n_train, memn2n_train_step,
+    LONG_TERM_SLOT, MemN2NParams, MemoryState, PackedBags, PreparedExample, _softmax,
+    build_memory, candidate_matrix, init_memn2n, memn2n_forward, memn2n_grads,
+    memn2n_train, memn2n_train_step,
 )
 from dialeval.models.rankers import rank_by_score
 from dialeval.pipeline import build_vocab, prepare_memn2n
@@ -51,6 +51,7 @@ def test_gradients_match_finite_differences_untied():
     rng = random.Random(0)
     for _ in range(40):
         p, ms, cands, gold = random_instance(rng, n_dicts=3)
+        cands = PackedBags(cands)
 
         def loss():
             return memn2n_grads(ms, cands, gold, p)[0]
@@ -69,6 +70,7 @@ def test_gradients_match_finite_differences_tied():
     rng = random.Random(1)
     for _ in range(20):
         p, ms, cands, gold = random_instance(rng, n_dicts=1)
+        cands = PackedBags(cands)
         assert p.W.base is p.A_in
 
         def loss():
@@ -83,6 +85,7 @@ def test_gradients_with_empty_memory():
     rng = random.Random(2)
     for _ in range(10):
         p, ms, cands, gold = random_instance(rng, n_dicts=3)
+        cands = PackedBags(cands)
         ms.memory_bags, ms.slots = [], []
 
         def loss():
@@ -105,7 +108,7 @@ def test_attention_and_distribution_normalized():
         for a in attentions:
             assert abs(a.sum() - 1.0) < 1e-6
             assert np.all(a >= 0)
-        dist = memn2n_distribution(scores)
+        dist = _softmax(scores)
         assert abs(dist.sum() - 1.0) < 1e-6
 
 
@@ -132,6 +135,7 @@ def test_k0_empty_memory_reduces_to_embedding_ranking():
 def test_train_step_applies_gradients():
     rng = random.Random(5)
     p, ms, cands, gold = random_instance(rng, n_dicts=3)
+    cands = PackedBags(cands)
     _, grads = memn2n_grads(ms, cands, gold, p)
     want = {name: getattr(p, name) - 0.1 * grads[name]
             for name in ("A_in", "A_mem", "W", "R", "T")}
@@ -143,6 +147,7 @@ def test_train_step_applies_gradients():
 def test_train_step_tied_weights_write_through_view():
     rng = random.Random(6)
     p, ms, cands, gold = random_instance(rng, n_dicts=1)
+    cands = PackedBags(cands)
     _, grads = memn2n_grads(ms, cands, gold, p)
     want = p.A_in - 0.1 * (grads["A_in"] + grads["A_mem"] + grads["W"].T)
     memn2n_train_step(ms, cands, gold, p, lr=0.1)
@@ -209,6 +214,7 @@ def test_train_step_equals_dense_update_bit_for_bit(n_dicts, hops, one_hot, empt
     rng = random.Random(1000 * n_dicts + 100 * hops + 10 * one_hot + empty_input)
     for _ in range(5):
         p, ms, cands, gold = overlapping_instance(rng, n_dicts, hops, one_hot, empty_input)
+        cands = PackedBags(cands)
         ref = copy_params(p)
         for _ in range(4):  # later steps start from the updated parameters
             assert memn2n_train_step(ms, cands, gold, p, lr=0.3) == \
@@ -236,13 +242,14 @@ def test_train_equals_dense_reference_at_fixed_seed(task, n_dicts):
     cfg = TrainConfig(learning_rate=0.05, dim=8, epochs=2, hops=2,
                       n_dicts=n_dicts, seed=3, max_memories=10)
     prepared, entities = prepare_memn2n(examples, vocab, kb, cfg, seed=cfg.seed)
-    assert (task == "discussion") == all(ex.candidate_bags for ex in prepared)
+    assert (task == "discussion") == all(ex.candidates for ex in prepared)
     init = lambda: init_memn2n(vocab.size, cfg.dim, cfg.hops, cfg.max_memories,
                                n_dicts=n_dicts, seed=cfg.seed)
     p = init()
     losses = memn2n_train(prepared, entities.bags, p, cfg)
 
     ref = init()
+    shared = PackedBags(entities.bags)
     rng = random.Random(cfg.seed)
     order = list(range(len(prepared)))
     want_losses = []
@@ -251,7 +258,7 @@ def test_train_equals_dense_reference_at_fixed_seed(task, n_dicts):
         total = 0.0
         for i in order:
             ex = prepared[i]
-            cands = ex.candidate_bags if ex.candidate_bags is not None else entities.bags
+            cands = ex.candidates if ex.candidates is not None else shared
             gold = ex.gold_indices[rng.randrange(len(ex.gold_indices))]
             total += dense_step(ex.state, cands, gold, ref, cfg.learning_rate)
         want_losses.append(total / len(prepared))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -47,6 +48,26 @@ def test_relevance_feedback_pulls_in_training_response():
     query = {4: 1}
     assert plain.rank(query, docs) == [0, 1, 2]
     assert rf.rank(query, docs)[0] == 1
+
+
+def test_relevance_feedback_scores_as_cosine_over_the_training_pairs():
+    """With feedback, rankings equal a brute-force query built with `cosine`
+    against every training message, weighted afresh per query, bit for bit."""
+    rng = random.Random(5)
+    bags = lambda n: [{t: rng.randint(1, 3) for t in rng.sample(range(2, 14), rng.randint(0, 4))}
+                      for _ in range(n)]
+    docs, msgs, queries, cands = bags(30), bags(30), bags(40), bags(25)
+    model = TfIdfModel.fit(docs, train_pairs=list(zip(msgs, docs)), rf_weight=0.5)
+    for query in queries:
+        v = tfidf_vector(query, model.idf)
+        sims = [cosine(v, tfidf_vector(m, model.idf)) for m in msgs]
+        best = docs[sims.index(max(sims))]
+        for t, w in tfidf_vector(best, model.idf).items():
+            v[t] = v.get(t, 0.0) + 0.5 * w
+        want = np.array([cosine(v, tfidf_vector(c, model.idf)) for c in cands])
+        got = model.rank(query, cands)
+        assert got == list(np.lexsort((np.arange(len(cands)), -want)))
+        assert model.query_vector(query) == v
 
 
 def test_idf_vector_roundtrip():

@@ -10,6 +10,7 @@ import json
 import logging
 import os
 import sys
+from functools import partial
 
 from dialeval import DataError, NumericalError
 from dialeval.data import read_examples, read_pool, write_examples, write_pool
@@ -165,6 +166,17 @@ def _split_users(ratings, seed):
     return users[2 * n_dev:], users[:n_dev], users[n_dev:2 * n_dev]
 
 
+def _gen_user_splits(gen, ratings, seed: int, first_seed: int,
+                     sizes: tuple[int, int, int]) -> list:
+    """Train, dev and test splits of a ratings-based generator
+    `gen(seed, n, users, dialog_id_base=...)`: each from its own users
+    (`_split_users(ratings, seed)`) and seed (first_seed, +1, +2), with
+    dialog ids numbered on from the split before."""
+    bases = (0, sizes[0], sizes[0] + sizes[1])
+    return [gen(first_seed + i, n, users, dialog_id_base=base) for i, (n, users, base)
+            in enumerate(zip(sizes, _split_users(ratings, seed), bases))]
+
+
 def cmd_gen(args) -> int:
     seed = _seed(args)
     task = args.task
@@ -192,34 +204,26 @@ def cmd_gen(args) -> int:
         splits["train"], splits["dev"], splits["test"] = gen_qa(
             kb, templates, seed, n_train, n_dev, n_test)
     elif task == "recs":
-        u_train, u_dev, u_test = _split_users(ratings, seed)
-        splits["train"] = gen_recs(ratings, kb, templates, seed, n_train, u_train)
-        splits["dev"] = gen_recs(ratings, kb, templates, seed + 1, n_dev, u_dev,
-                                 dialog_id_base=n_train)
-        splits["test"] = gen_recs(ratings, kb, templates, seed + 2, n_test, u_test,
-                                  dialog_id_base=n_train + n_dev)
+        splits["train"], splits["dev"], splits["test"] = _gen_user_splits(
+            partial(gen_recs, ratings, kb, templates), ratings, seed, seed,
+            (n_train, n_dev, n_test))
     elif task == "qarecs":
-        u_train, u_dev, u_test = _split_users(ratings, seed)
-        splits["train"] = gen_qarecs(kb, ratings, templates, seed, n_train, u_train)
-        splits["dev"] = gen_qarecs(kb, ratings, templates, seed + 1, n_dev, u_dev,
-                                   dialog_id_base=n_train)
-        splits["test"] = gen_qarecs(kb, ratings, templates, seed + 2, n_test, u_test,
-                                    dialog_id_base=n_train + n_dev)
+        splits["train"], splits["dev"], splits["test"] = _gen_user_splits(
+            partial(gen_qarecs, kb, ratings, templates), ratings, seed, seed,
+            (n_train, n_dev, n_test))
     elif task == "discussion":
         tr, dv, te, dev_pool, test_pool = gen_discussion(
             threads, (args.pool_size, args.pool_size), seed)
         splits = {"train": tr, "dev": dv, "test": te}
         pools = {"dev": dev_pool, "test": test_pool}
     else:  # joint
-        qa_tr, qa_dv, qa_te = gen_qa(kb, templates, seed,
-                                     n_train or 1000, n_dev or 100, n_test or 100)
-        u_train, u_dev, u_test = _split_users(ratings, seed)
-        rc_tr = gen_recs(ratings, kb, templates, seed + 10, n_train or 1000, u_train)
-        rc_dv = gen_recs(ratings, kb, templates, seed + 11, n_dev or 100, u_dev)
-        rc_te = gen_recs(ratings, kb, templates, seed + 12, n_test or 100, u_test)
-        qr_tr = gen_qarecs(kb, ratings, templates, seed + 20, (n_train or 1000) // 3, u_train)
-        qr_dv = gen_qarecs(kb, ratings, templates, seed + 21, max((n_dev or 100) // 3, 1), u_dev)
-        qr_te = gen_qarecs(kb, ratings, templates, seed + 22, max((n_test or 100) // 3, 1), u_test)
+        sizes = (n_train or 1000, n_dev or 100, n_test or 100)
+        qa_tr, qa_dv, qa_te = gen_qa(kb, templates, seed, *sizes)
+        rc_tr, rc_dv, rc_te = _gen_user_splits(
+            partial(gen_recs, ratings, kb, templates), ratings, seed, seed + 10, sizes)
+        qr_tr, qr_dv, qr_te = _gen_user_splits(
+            partial(gen_qarecs, kb, ratings, templates), ratings, seed, seed + 20,
+            (sizes[0] // 3, max(sizes[1] // 3, 1), max(sizes[2] // 3, 1)))
         di_tr, di_dv, di_te, dev_pool, test_pool = gen_discussion(
             threads, (args.pool_size, args.pool_size), seed + 30)
         pools = {"dev": dev_pool, "test": test_pool}
@@ -341,6 +345,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_ranker(model_file: str, data_dir: str, kb, use_context: bool = True):
+    """The vocabulary and ranker of a model file.  An ir model file keeps
+    its relevance-feedback weight but not the training pairs, so those are
+    refit from the dataset's train split."""
+    kind, params, cfg, vocab = load_for_ranking(model_file)
+    if kind == KIND_IR and params.rf_weight > 0.0:
+        params = train_ir(_read_split(data_dir, "train"), vocab, rf_weight=params.rf_weight)
+    return vocab, make_ranker(kind, params, vocab, kb, cfg, use_context=use_context)
+
+
 def cmd_eval(args) -> int:
     manifest, kb = _dataset(args.data)
     examples = _read_split(args.data, args.split)
@@ -352,13 +366,8 @@ def cmd_eval(args) -> int:
     else:
         if not args.model_file:
             raise UsageError("--model-file or --oracle is required")
-        kind, params, cfg, vocab = load_for_ranking(args.model_file)
-        if kind == KIND_IR and params.rf_weight > 0.0:
-            train_examples = _read_split(args.data, "train")
-            rf_model = train_ir(train_examples, vocab, rf_weight=params.rf_weight)
-            params = rf_model
-        ranker = make_ranker(kind, params, vocab, kb, cfg,
-                             use_context=not args.no_context)
+        vocab, ranker = _load_ranker(args.model_file, args.data, kb,
+                                     use_context=not args.no_context)
 
     report = evaluate(ranker, examples, k, vocab=vocab)
     text = format_report(report, breakdown=args.breakdown)
@@ -374,8 +383,7 @@ def cmd_eval(args) -> int:
 
 def cmd_chat(args) -> int:
     manifest, kb = _dataset(args.data)
-    kind, params, cfg, vocab = load_for_ranking(args.model_file)
-    ranker = make_ranker(kind, params, vocab, kb, cfg)
+    _, ranker = _load_ranker(args.model_file, args.data, kb)
     history: list[tuple[str, str]] = []
     transcript = open(args.transcript, "a", encoding="utf-8") if args.transcript else None
     from dialeval.taskgen import Example

@@ -80,7 +80,10 @@ def evaluate(ranker, examples: list[Example], k: int,
     for idx, ex in enumerate(examples):
         if ex.candidate_pool is not None and ex.gold[0] in ex.candidate_pool:
             raise DataError(f"example {idx}: gold duplicated in candidate pool")
-        ranked = ranker.rank(ex)
+        try:
+            ranked = ranker.rank(ex)
+        except DataError as e:
+            raise DataError(f"example {idx}: {e}") from None
         if ex.candidate_pool is not None and not set(ex.gold) & set(ranked):
             raise DataError(f"example {idx}: gold missing from explicit candidates")
         hit = hits_at_k(ranked, ex.gold, k)

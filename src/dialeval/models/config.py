@@ -1,5 +1,5 @@
-"""Shared training hyperparameters and the one SGD epoch loop that trains
-every model (memn2n, supervised embeddings, matrix factorization)."""
+"""Shared training hyperparameters, the one SGD epoch loop that trains every
+model, and the one tie rule (`rank_order`) that orders every model's scores."""
 
 from __future__ import annotations
 
@@ -62,6 +62,11 @@ class TrainConfig:
             except ValueError:
                 raise DataError(f"{key}={value!r}: expected {typ}") from None
         return cls(**kwargs).validate()
+
+
+def rank_order(scores: np.ndarray) -> np.ndarray:
+    """Candidate indices by score, highest first; ties by index, ascending."""
+    return np.lexsort((np.arange(len(scores)), -scores))
 
 
 def check_finite(**arrays: np.ndarray) -> None:

@@ -149,16 +149,12 @@ def embed_train(
     data: list[tuple[dict[int, int], dict[int, int]]],
     neg_pool: list[dict[int, int]],
     cfg: TrainConfig,
-    variant: str = TWO_DICT,
-    params: EmbedParams | None = None,
+    params: EmbedParams,
     log_fn=None,
 ) -> tuple[EmbedParams, list[float]]:
-    """SGD over (query bag, gold bag) pairs with uniform negatives from neg_pool."""
+    """SGD on `params`, in place, over (query bag, gold bag) pairs with
+    uniform negatives from neg_pool."""
     cfg.validate()
-    if params is None:
-        all_bags = [b for pair in data for b in pair] + list(neg_pool)
-        V = max((max(b) for b in all_bags if b), default=0) + 1
-        params = init_embed(V, cfg.dim, variant, cfg.seed)
     rng = random.Random(cfg.seed)
 
     def step(i: int) -> float:

@@ -57,18 +57,17 @@ def mf_train(ratings: Ratings, d: int, lr: float, epochs: int, seed: int = 0,
     return MFParams(P, Q, item_ids), epoch_losses
 
 
-def mf_rank(history: set[int], params: MFParams) -> list[int]:
-    """Rank KB entity ids of movies for a user described only by the movies
-    they rated 5; history items are excluded from the output."""
+def mf_scores(history: set[int], params: MFParams) -> tuple[list[int], np.ndarray]:
+    """KB entity ids of the movies outside a user's five-star history, in
+    item row order, and the user's predicted score for each."""
     rows = [params.item_index[m] for m in sorted(history) if m in params.item_index]
     if not rows:
-        return []
+        return [], np.empty(0)
     Q = params.item_factors[rows]
     target = np.full(len(rows), 5.0)
     d = params.dim
     # tiny ridge keeps the solve well-posed for short histories
     u = np.linalg.solve(Q.T @ Q + 1e-8 * np.eye(d), Q.T @ target)
-    scores = params.item_factors @ u
     hist_rows = set(rows)
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    return [params.item_ids[i] for i in order if i not in hist_rows]
+    keep = [i for i in range(len(params.item_ids)) if i not in hist_rows]
+    return [params.item_ids[i] for i in keep], (params.item_factors @ u)[keep]

@@ -1,13 +1,14 @@
 """Adapters that turn a trained model into a candidate ranker for evaluation.
 
-A ranker maps an Example to an ordered list of candidate labels (entity
-symbols, or response texts for explicit candidate lists).  Ties always break
-by candidate index, ascending, so rankings are deterministic.
+Every ranker scores one candidate list per example: `Ranker.labels` gives an
+example's explicit list (the gold response, then its pool) or else the entity
+table, and refuses a discussion example without a pool.  `config.rank_order`
+orders the scores and breaks ties by candidate index, ascending, so rankings
+are deterministic.
 
-An explicit candidate list is the gold response followed by a pool that many
-examples share.  Each ranker featurizes a pool once and keeps it in a
-`PoolCache` keyed by the pool tuple itself, so examples whose pools hold the
-same responses share one entry, whatever tuple object holds them; the gold
+A pool is shared by many examples.  Each ranker featurizes a pool once, in a
+dict keyed by the pool tuple itself, so examples whose pools hold the same
+responses share one entry, whatever tuple object holds them; the gold
 differs from example to example and is featurized per example.
 """
 
@@ -19,18 +20,17 @@ import numpy as np
 
 from dialeval import DataError
 from dialeval.kb import KnowledgeBase
-from dialeval.models.config import TrainConfig
+from dialeval.models.config import TrainConfig, rank_order
 from dialeval.models.embeddings import EmbedParams, embed_sum
 from dialeval.models.memn2n import MemN2NParams, build_memory, candidate_matrix, memn2n_forward
-from dialeval.models.mf import MFParams, mf_rank
+from dialeval.models.mf import MFParams, mf_scores
 from dialeval.models.tfidf import TfIdfModel
 from dialeval.taskgen import Example
 from dialeval.text import Vocabulary, bag, tokenize
 
 
 def rank_by_score(labels: list[str], scores: np.ndarray) -> list[str]:
-    order = np.lexsort((np.arange(len(labels)), -scores))
-    return [labels[i] for i in order]
+    return [labels[i] for i in rank_order(scores)]
 
 
 def query_text(example: Example) -> str:
@@ -38,24 +38,6 @@ def query_text(example: Example) -> str:
     parts = [t for turn in example.context for t in turn]
     parts.append(example.input)
     return " ".join(parts)
-
-
-class PoolCache(dict):
-    """Featurized candidate pools keyed by the pool's content.
-
-    A tuple's hash and `==` follow its items, so an equal pool held in
-    another tuple finds the same entry, and a pool with other content never
-    finds a stale one.  The featurization of a missing pool is computed on
-    first use and kept for the ranker's lifetime.  The featurizer comes with
-    each lookup rather than being stored: a ranker's own bound method kept
-    here would make a reference cycle, and the ranker's memory would then
-    outlive the ranker until the garbage collector's next full pass."""
-
-    def featurized(self, pool: tuple[str, ...], featurize):
-        out = self.get(pool)
-        if out is None:
-            out = self[pool] = featurize(pool)
-        return out
 
 
 class EntityCandidates:
@@ -75,136 +57,149 @@ class EntityCandidates:
         return out
 
 
-class OracleRanker:
-    """Scores the gold at +inf; harness self-test."""
+class Ranker:
+    """Ranks by `score(example)`, which a model implements: it returns
+    `labels(example)` and a score for each."""
 
     def __init__(self, vocab: Vocabulary | None = None):
-        self.entities = EntityCandidates(vocab) if vocab else None
+        self.vocab = vocab
+        self.entities = EntityCandidates(vocab) if vocab is not None else None
+        # a tuple's hash and `==` follow its items: an equal pool in another
+        # tuple finds its entry, a pool of other content never finds a stale one
+        self._pools: dict[tuple[str, ...], object] = {}
+
+    def labels(self, example: Example) -> list[str]:
+        """The example's candidates: its explicit list, or the entity table."""
+        if example.candidate_pool is not None:
+            return example.explicit_candidates()
+        if example.task_tag == "discussion":
+            raise DataError("a discussion example has no candidate pool: its split "
+                            "has no candidates file")
+        if self.entities is None:
+            raise DataError(f"{type(self).__name__} needs a vocabulary or explicit candidates")
+        return self.entities.labels
+
+    def pool(self, example: Example, featurize):
+        """`featurize(texts)` of the example's explicit list as (the gold's,
+        the pool's), or None when it ranks the entity table, whose features
+        each ranker makes once.  The featurizer is not stored: a ranker's
+        bound method kept on it would make a reference cycle."""
+        pool = example.candidate_pool
+        if pool is None:
+            return None
+        shared = self._pools.get(pool)
+        if shared is None:
+            shared = self._pools[pool] = featurize(pool)
+        return featurize(example.gold[:1]), shared
 
     def rank(self, example: Example) -> list[str]:
-        if example.candidate_pool is not None:
-            labels = example.explicit_candidates()
-        elif self.entities is not None:
-            labels = self.entities.labels
-        else:
-            labels = list(example.gold)
+        return rank_by_score(*self.score(example))
+
+
+class OracleRanker(Ranker):
+    """Scores the golds 1 and every other candidate 0; harness self-test."""
+
+    def labels(self, example: Example) -> list[str]:
+        if self.entities is None and example.candidate_pool is None:
+            return list(example.gold)  # no entity table: the golds stand in for it
+        return super().labels(example)
+
+    def score(self, example: Example) -> tuple[list[str], np.ndarray]:
+        labels = self.labels(example)
         gold = set(example.gold)
-        return [c for c in labels if c in gold] + [c for c in labels if c not in gold]
+        return labels, np.array([float(c in gold) for c in labels])
 
 
-class RandomRanker:
+class RandomRanker(Ranker):
     def __init__(self, seed: int, vocab: Vocabulary | None = None):
+        super().__init__(vocab)
         self.rng = random.Random(seed)
-        self.entities = EntityCandidates(vocab) if vocab else None
 
     def rank(self, example: Example) -> list[str]:
-        if example.candidate_pool is not None:
-            labels = example.explicit_candidates()
-        elif self.entities is not None:
-            labels = list(self.entities.labels)
-        else:
-            raise DataError("random ranker needs a vocabulary or explicit candidates")
+        labels = list(self.labels(example))
         self.rng.shuffle(labels)
         return labels
 
 
-class EmbedRanker:
+class EmbedRanker(Ranker):
     def __init__(self, params: EmbedParams, vocab: Vocabulary):
+        super().__init__(vocab)
         self.params = params
-        self.vocab = vocab
-        self.entities = EntityCandidates(vocab)
         # output embeddings of the fixed entity candidates, cached
         self._entity_out = params.U_out[:, self.entities.token_ids]
-        self._pools = PoolCache()
 
     def _vectors(self, texts) -> list[np.ndarray]:
         return [embed_sum(bag(tokenize(self.vocab, c)), self.params.U_out) for c in texts]
 
     def score(self, example: Example) -> tuple[list[str], np.ndarray]:
-        """Candidate labels and their scores, gold first for explicit lists."""
+        labels = self.labels(example)
         x = embed_sum(bag(tokenize(self.vocab, query_text(example))), self.params.U_in)
-        if example.candidate_pool is None:
-            return self.entities.labels, x @ self._entity_out
+        own = self.pool(example, self._vectors)
+        if own is None:
+            return labels, x @ self._entity_out
         # one dot product per candidate: a single gemv over the stacked
         # vectors can differ in the last bit and reorder near-ties
-        pool = self._pools.featurized(example.candidate_pool, self._vectors)
-        ys = [*self._vectors(example.gold[:1]), *pool]
-        return example.explicit_candidates(), np.array([float(x @ y) for y in ys])
-
-    def rank(self, example: Example) -> list[str]:
-        return rank_by_score(*self.score(example))
+        return labels, np.array([float(x @ y) for y in [*own[0], *own[1]]])
 
 
-class MemN2NRanker:
+class MemN2NRanker(Ranker):
     def __init__(self, params: MemN2NParams, vocab: Vocabulary,
                  kb: KnowledgeBase | None, cfg: TrainConfig):
+        super().__init__(vocab)
         self.params = params
-        self.vocab = vocab
         self.kb = kb
         self.cfg = cfg
-        self.entities = EntityCandidates(vocab)
         self._entity_G = candidate_matrix(params.W, self.entities.bags)
-        self._pools = PoolCache()
 
     def _matrix(self, texts) -> np.ndarray:
         return candidate_matrix(self.params.W, [bag(tokenize(self.vocab, c)) for c in texts])
 
     def score(self, example: Example) -> tuple[list[str], np.ndarray]:
-        """Candidate labels and their scores, gold first for explicit lists."""
+        labels = self.labels(example)
         ms = build_memory(list(example.context), example.input, self.kb,
                           self.vocab, self.cfg)
-        if example.candidate_pool is None:
-            labels, G = self.entities.labels, self._entity_G
-        else:
-            labels = example.explicit_candidates()
-            G = np.vstack([self._matrix(example.gold[:1]),
-                           self._pools.featurized(example.candidate_pool, self._matrix)])
+        own = self.pool(example, self._matrix)
+        G = self._entity_G if own is None else np.vstack(own)
         scores, _ = memn2n_forward(ms, [], self.params, G=G)
         return labels, scores
 
-    def rank(self, example: Example) -> list[str]:
-        return rank_by_score(*self.score(example))
 
-
-class TfIdfRanker:
+class TfIdfRanker(Ranker):
     def __init__(self, model: TfIdfModel, vocab: Vocabulary, use_context: bool = True):
+        super().__init__(vocab)
         self.model = model
-        self.vocab = vocab
         self.use_context = use_context
-        self.entities = EntityCandidates(vocab)
         self._entity_vectors = self._vectors(self.entities.labels)
-        self._pools = PoolCache()
 
     def _vectors(self, texts) -> list[tuple[dict[int, float], float]]:
         """Each text's tf-idf vector and its norm."""
         return self.model.candidates([bag(tokenize(self.vocab, c)) for c in texts])
 
-    def rank(self, example: Example) -> list[str]:
+    def score(self, example: Example) -> tuple[list[str], np.ndarray]:
+        labels = self.labels(example)
         text = query_text(example) if self.use_context else example.input
-        query = bag(tokenize(self.vocab, text))
-        if example.candidate_pool is None:
-            labels, vectors = self.entities.labels, self._entity_vectors
-        else:
-            labels = example.explicit_candidates()
-            pool = self._pools.featurized(example.candidate_pool, self._vectors)
-            vectors = [*self._vectors(example.gold[:1]), *pool]
-        return [labels[i] for i in self.model.rank_vectors(query, vectors)]
+        own = self.pool(example, self._vectors)
+        vectors = self._entity_vectors if own is None else [*own[0], *own[1]]
+        return labels, self.model.scores(bag(tokenize(self.vocab, text)), vectors)
 
 
-class MFRanker:
+class MFRanker(Ranker):
     """Reads the movie entities out of the statement, fits a pseudo-user and
-    ranks the remaining movies."""
+    scores the movies it has not named."""
 
     def __init__(self, params: MFParams, vocab: Vocabulary, kb: KnowledgeBase):
+        super().__init__(vocab)
         self.params = params
-        self.vocab = vocab
         self.kb = kb
 
-    def rank(self, example: Example) -> list[str]:
+    def score(self, example: Example) -> tuple[list[str], np.ndarray]:
+        if example.candidate_pool is not None or example.task_tag == "discussion":
+            raise DataError("mf ranks movies and cannot rank a list of responses")
         history = set()
         for tid in tokenize(self.vocab, query_text(example)):
             if self.vocab.is_entity(tid):
                 eid = self.kb.entity_id(self.vocab.symbols[tid])
                 if eid is not None and eid in self.params.item_index:
                     history.add(eid)
-        return [self.kb.entities[e] for e in mf_rank(history, self.params)]
+        ids, scores = mf_scores(history, self.params)
+        return [self.kb.entities[e] for e in ids], scores

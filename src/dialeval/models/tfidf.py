@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from dialeval.models.config import rank_order
+
 
 def build_idf(doc_bags: list[dict[int, int]]) -> dict[int, float]:
     """idf(t) = ln(N / df(t)) over the given document bags."""
@@ -85,19 +87,18 @@ class TfIdfModel:
 
     def rank(self, query_bag: dict[int, int],
              candidate_bags: list[dict[int, int]]) -> list[int]:
-        """Candidate indices by cosine similarity desc, ties by index asc."""
-        return self.rank_vectors(query_bag, self.candidates(candidate_bags))
+        """Candidate indices by cosine similarity, in `rank_order`."""
+        return list(rank_order(self.scores(query_bag, self.candidates(candidate_bags))))
 
-    def rank_vectors(self, query_bag: dict[int, int],
-                     candidates: list[tuple[dict[int, float], float]]) -> list[int]:
-        """`rank` over `candidates(...)` output, so that a fixed candidate
-        set is weighted and normed once.  The scores are `cosine`'s, bit for
-        bit."""
+    def scores(self, query_bag: dict[int, int],
+               candidates: list[tuple[dict[int, float], float]]) -> np.ndarray:
+        """The query's cosine similarity to each of `candidates(...)`'s
+        vectors, so that a fixed candidate set is weighted and normed once.
+        The similarities are `cosine`'s, bit for bit."""
         v = self.query_vector(query_bag)
         nv = vector_norm(v)
-        sims = np.array([d / (nv * nc) if (d := dot(v, c)) != 0.0 else 0.0
+        return np.array([d / (nv * nc) if (d := dot(v, c)) != 0.0 else 0.0
                          for c, nc in candidates])
-        return list(np.lexsort((np.arange(len(sims)), -sims)))
 
     def idf_vector(self, vocab_size: int) -> np.ndarray:
         out = np.zeros(vocab_size)

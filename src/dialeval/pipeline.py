@@ -64,9 +64,7 @@ def train_supemb(examples: list[Example], vocab: Vocabulary, cfg: TrainConfig,
     if not explicit:
         neg_pool = entities.bags
     params = init_embed(vocab.size, cfg.dim, variant, cfg.seed)
-    params, losses = embed_train(data, neg_pool, cfg, variant=variant,
-                                 params=params, log_fn=log_fn)
-    return params, losses
+    return embed_train(data, neg_pool, cfg, params, log_fn=log_fn)
 
 
 def prepare_memn2n(examples: list[Example], vocab: Vocabulary,

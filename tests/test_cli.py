@@ -264,3 +264,68 @@ def test_eval_refuses_damaged_model_files(qa_dir, tmp_path, capsys):
     symbol, _, flag = lines[2].split("\t")
     vocab.write_text("".join([*lines[:2], f"{symbol}\tmany\t{flag}", *lines[3:]]))
     _eval_refused(qa_dir, model, capsys, "m.bin.vocab:3: count 'many'")
+
+
+def test_eval_of_mf_refuses_response_lists(tmp_path, capsys):
+    data = tmp_path / "joint"
+    assert run(["gen", "--task", "joint", "--out", data, "--synthetic",
+                "--movies", 25, "--users", 20, "--threads", 50,
+                "--train", 120, "--dev", 20, "--test", 20,
+                "--pool-size", 10, "--seed", 5]) == 0
+    model = _trained(data, tmp_path, "mf")
+    _eval_refused(data, model, capsys, "mf ranks movies and cannot rank a list of responses")
+
+
+@pytest.fixture(scope="module")
+def discussion_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data") / "discussion"
+    assert run(["gen", "--task", "discussion", "--out", out, "--synthetic",
+                "--threads", 200, "--pool-size", 50, "--seed", 1]) == 0
+    return out
+
+
+def test_eval_refuses_a_discussion_split_without_pool(discussion_dir, tmp_path, capsys):
+    """The train split has no candidates file: ranking its examples over the
+    entity table would print a hits@k of 0 for any model."""
+    model = _trained(discussion_dir, tmp_path, "ir")
+    want = "has no candidates file"
+    for argv in (["--model-file", model], ["--oracle"]):
+        capsys.readouterr()
+        assert run(["eval", "--data", discussion_dir, "--split", "train", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "hits@" not in captured.out and want in captured.err
+    assert run(["eval", "--data", discussion_dir, "--oracle"]) == 0
+
+
+def test_chat_ranks_with_ir_relevance_feedback(discussion_dir, tmp_path, monkeypatch, capsys):
+    """An ir model file holds no feedback pairs; chat refits them from the
+    train split, as eval does, so each reply is the top 1 of the ranker eval
+    makes, for the same input and history."""
+    from dialeval.cli import _dataset, _read_split
+    from dialeval.models.io import load_for_ranking
+    from dialeval.pipeline import make_ranker, train_ir
+    from dialeval.taskgen import Example
+
+    model = _trained(discussion_dir, tmp_path, "ir", "--rf-weight", 0.5)
+    _, kb = _dataset(discussion_dir)
+    kind, _, cfg, vocab = load_for_ranking(model)
+    train = _read_split(discussion_dir, "train")
+    rankers = [make_ranker(kind, m, vocab, kb, cfg) for m in
+               (train_ir(train, vocab, rf_weight=0.5), train_ir(train, vocab))]
+    texts = [ex.gold[0] for ex in _read_split(discussion_dir, "test")[:20]]
+    changed = 0
+    for session in (texts[i:i + 2] for i in range(0, len(texts), 2)):
+        lines = iter([*session, ":quit"])
+        monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+        capsys.readouterr()
+        assert run(["chat", "--data", discussion_dir, "--model-file", model]) == 0
+        replies = capsys.readouterr().out.splitlines()
+        history = []
+        for line, reply in zip(session, replies, strict=True):
+            ex = Example(input=line, gold=("?",), context=tuple(history),
+                         response_position=len(history) + 1)
+            with_rf, without_rf = (r.rank(ex)[0] for r in rankers)
+            assert reply == with_rf
+            changed += with_rf != without_rf
+            history.append((line, reply))
+    assert changed  # the feedback changes some replies

@@ -128,21 +128,21 @@ def test_embed_train_decreases_loss():
         data.append(({i: 1}, {i + 8: 1} if i + 8 < V else {i: 1}))
     pool = [{j: 1} for j in range(2, V)]
     cfg = TrainConfig(learning_rate=0.1, dim=8, epochs=20, n_neg=5, seed=0)
-    params, losses = embed_train(data, pool, cfg, variant=TWO_DICT)
+    params, losses = embed_train(data, pool, cfg, init_embed(V, cfg.dim, TWO_DICT, cfg.seed))
     assert losses[-1] < losses[0]
 
 
 def test_embed_train_rejects_empty():
     cfg = TrainConfig()
     with pytest.raises(NumericalError):
-        embed_train([], [{2: 1}], cfg)
+        embed_train([], [{2: 1}], cfg, init_embed(3, cfg.dim, TWO_DICT, cfg.seed))
 
 
 def test_embed_train_deterministic():
     data = [({2: 1}, {3: 1}), ({4: 1}, {5: 1})]
     pool = [{j: 1} for j in range(2, 6)]
     cfg = TrainConfig(learning_rate=0.05, dim=4, epochs=5, n_neg=3, seed=9)
-    p1, l1 = embed_train(data, pool, cfg)
-    p2, l2 = embed_train(data, pool, cfg)
+    p1, l1 = embed_train(data, pool, cfg, init_embed(6, cfg.dim, TWO_DICT, cfg.seed))
+    p2, l2 = embed_train(data, pool, cfg, init_embed(6, cfg.dim, TWO_DICT, cfg.seed))
     assert l1 == l2
     np.testing.assert_array_equal(p1.U_in, p2.U_in)

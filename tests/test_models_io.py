@@ -1,16 +1,21 @@
+import os
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from dialeval import DataError
 from dialeval.models import TrainConfig
-from dialeval.models.embeddings import SINGLE_DICT, TWO_DICT, init_embed
+from dialeval.models.embeddings import SINGLE_DICT, TWO_DICT, EmbedParams, init_embed
 from dialeval.models.io import (
     KIND_IR, KIND_MEMN2N, KIND_MF, KIND_SUPEMB,
     load_for_ranking, load_model, save_ir, save_memn2n, save_mf, save_supemb,
 )
-from dialeval.models.memn2n import init_memn2n
+from dialeval.models.memn2n import MemN2NParams, init_memn2n
 from dialeval.models.mf import MFParams
 from dialeval.models.tfidf import TfIdfModel
 
@@ -181,3 +186,54 @@ def test_rejects_damaged_vocab(tmp_path, text, message):
     (tmp_path / "model.bin.vocab").write_text(text)
     with pytest.raises(DataError, match=message):
         load_for_ranking(path)
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.shape, np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from([KIND_SUPEMB, KIND_MEMN2N, KIND_IR, KIND_MF]),
+       d=st.integers(1, 4), V=st.integers(1, 6), K=st.integers(0, 2),
+       w=st.integers(1, 3), rows=st.integers(1, 5), data=st.data())
+def test_save_then_load_returns_every_matrix_bit_for_bit(kind, d, V, K, w, rows, data):
+    """Random shapes and values, nan payloads, infinities and signed zeros
+    included: the loaded model's matrices are the saved ones, bit for bit."""
+    def matrix(*shape, elements=st.floats(width=64) | st.just(-0.0)):
+        return data.draw(npst.arrays(np.float64, shape, elements=elements))
+
+    cfg = TrainConfig(dim=d, hops=K, n_dicts=w, max_memories=rows - 1)
+    if kind == KIND_SUPEMB:
+        params = EmbedParams(matrix(d, V), matrix(d, V) if w >= 2 else None)
+        save, names = save_supemb, ["U_in", "U_out"]
+    elif kind == KIND_MEMN2N:
+        A_in = matrix(d, V)
+        params = MemN2NParams(A_in, matrix(d, V) if w == 3 else A_in,
+                              matrix(V, d) if w >= 2 else A_in.T,
+                              matrix(K, d, d), matrix(rows, d))
+        save, names = save_memn2n, ["A_in", "A_mem", "W", "R", "T"]
+    elif kind == KIND_IR:
+        # an idf is never negative, and a zero weight is a term the table lacks
+        idf = np.abs(matrix(V, elements=st.floats(0.0, allow_nan=False, width=64)))
+        params = TfIdfModel.from_idf_vector(idf)
+        params.rf_weight = data.draw(st.floats(0.0, 1.0))
+        names = []
+
+        def save(path, p, cfg):
+            save_ir(path, p, V, cfg)
+    else:
+        items = data.draw(st.lists(st.integers(0, 2**31), min_size=V, max_size=V, unique=True))
+        params = MFParams(matrix(rows, d), matrix(V, d), items)
+        save, names = save_mf, ["user_factors", "item_factors"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.bin")
+        save(path, params, cfg)
+        loaded_kind, loaded, _, _ = load_model(path)
+    assert loaded_kind == kind
+    for name in names:
+        assert _bits(getattr(loaded, name)) == _bits(getattr(params, name)), name
+    if kind == KIND_IR:
+        assert _bits(loaded.idf_vector(V)) == _bits(idf)
+        assert loaded.rf_weight == params.rf_weight
+    if kind == KIND_MF:
+        assert loaded.item_ids == items

@@ -3,7 +3,8 @@ import pytest
 
 from dialeval import NumericalError
 from dialeval.ingest import Ratings
-from dialeval.models.mf import MFParams, mf_rank, mf_train
+from dialeval.models.config import rank_order
+from dialeval.models.mf import MFParams, mf_scores, mf_train
 
 
 def toy_ratings():
@@ -12,6 +13,12 @@ def toy_ratings():
     likes_b = {10: 1, 11: 1, 12: 1, 13: 5, 14: 5, 15: 5}
     by_user = [dict(likes_a), dict(likes_b), dict(likes_a), dict(likes_b)]
     return Ratings([f"u{i}" for i in range(4)], by_user)
+
+
+def ranked_ids(history, params):
+    """Movie ids in `rank_order` of their scores."""
+    ids, scores = mf_scores(history, params)
+    return [ids[i] for i in rank_order(scores)]
 
 
 def test_mf_overfits_toy_matrix():
@@ -23,15 +30,15 @@ def test_mf_overfits_toy_matrix():
 def test_mf_rank_recovers_cluster():
     params, _ = mf_train(toy_ratings(), d=4, lr=0.05, epochs=200, seed=0)
     # pseudo-user who loved two cluster-A movies should get the third first
-    ranked = mf_rank({10, 11}, params)
+    ranked = ranked_ids({10, 11}, params)
     assert ranked[0] == 12
     assert 10 not in ranked and 11 not in ranked  # history excluded
 
 
 def test_mf_rank_empty_history():
     params, _ = mf_train(toy_ratings(), d=2, lr=0.05, epochs=10, seed=0)
-    assert mf_rank(set(), params) == []
-    assert mf_rank({999}, params) == []  # unknown movies ignored
+    assert ranked_ids(set(), params) == []
+    assert ranked_ids({999}, params) == []  # unknown movies ignored
 
 
 def test_mf_rank_deterministic_ties():
@@ -39,7 +46,7 @@ def test_mf_rank_deterministic_ties():
     Q = np.zeros((3, 2))
     Q[0] = [1.0, 0.0]
     params = MFParams(np.zeros((1, 2)), Q, item_ids)
-    ranked = mf_rank({5}, params)
+    ranked = ranked_ids({5}, params)
     assert ranked == [6, 7]  # equal scores break by item row order
 
 

@@ -10,7 +10,9 @@ from dialeval.data import read_examples, write_examples
 from dialeval.evaluation import evaluate
 from dialeval.ingest import gen_synthetic_sources
 from dialeval.models import TrainConfig
+from dialeval.models.embeddings import EmbedParams
 from dialeval.models.memn2n import init_memn2n
+from dialeval.models.mf import MFParams
 from dialeval.models.rankers import (
     EntityCandidates, MemN2NRanker, OracleRanker, query_text, rank_by_score,
 )
@@ -18,6 +20,7 @@ from dialeval.pipeline import (
     DEFAULT_K, build_vocab, make_ranker, train_ir, train_memn2n,
     train_mf_from_ratings, train_supemb,
 )
+from dialeval.models.tfidf import TfIdfModel
 from dialeval.taskgen import Example, gen_discussion, gen_qa, gen_recs
 from dialeval.templates import DEFAULT_TEMPLATES
 
@@ -234,3 +237,62 @@ def test_ranker_is_freed_with_its_last_reference(pool_setup, kind):
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the one tie rule
+
+
+@pytest.fixture
+def tie_setup(small_kb):
+    """A vocabulary, an explicit-list example and an entity example, and
+    each model's parameters that score every candidate alike: zeros, or
+    for ir an idf table with no terms."""
+    explicit = Example(input="what did you think", gold=("a good reply",),
+                       candidate_pool=("bad one", "bad two", "another"),
+                       task_tag="discussion")
+    table = Example(input="who directed kung fu hustle", gold=("stephen chow",))
+    vocab = build_vocab([explicit, table], small_kb, min_freq=1)
+    cfg = TrainConfig(dim=3)
+    memn2n = init_memn2n(vocab.size, cfg.dim, 1, cfg.max_memories, seed=0)
+    for m in (memn2n.A_in, memn2n.R, memn2n.T):  # A_mem and W alias A_in
+        m[...] = 0.0
+    movie_ids = [small_kb.entity_id(m) for m in small_kb.movies()]
+    params = {
+        "memn2n": memn2n,
+        "supemb": EmbedParams(np.zeros((cfg.dim, vocab.size))),
+        "ir": TfIdfModel({}),
+        "mf": MFParams(np.zeros((1, cfg.dim)), np.zeros((len(movie_ids), cfg.dim)),
+                       movie_ids),
+    }
+
+    def ranker(kind):
+        if kind == "oracle":
+            return OracleRanker(vocab)
+        return make_ranker(kind, params[kind], vocab, small_kb, cfg)
+
+    return small_kb, {"explicit": explicit, "table": table}, ranker
+
+
+@pytest.mark.parametrize("candidates", ["explicit", "table"])
+@pytest.mark.parametrize("kind", ["memn2n", "supemb", "ir", "mf", "oracle"])
+def test_equal_scores_rank_in_candidate_order(tie_setup, kind, candidates):
+    kb, examples, make = tie_setup
+    ex, ranker = examples[candidates], make(kind)
+    if kind == "mf" and candidates == "explicit":
+        with pytest.raises(DataError, match="mf ranks movies"):
+            ranker.rank(ex)
+        return
+    labels, scores = ranker.score(ex)
+    if kind == "mf":
+        assert labels == [m for m in kb.movies() if m != "kung fu hustle"]
+    else:
+        assert labels == (ex.explicit_candidates() if candidates == "explicit"
+                          else ranker.entities.labels)
+    if kind == "oracle":
+        # the golds score above the rest; each part keeps candidate order
+        want = [c for c in labels if c in ex.gold] + [c for c in labels if c not in ex.gold]
+    else:
+        assert len(labels) > 1 and np.all(scores == scores[0])
+        want = labels
+    assert ranker.rank(ex) == want

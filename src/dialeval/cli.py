@@ -381,9 +381,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _chat_candidates(manifest, data_dir: str):
+    """The task tag, gold and pool of a chat example.  A discussion model
+    replies with a response of the test split's pool: the pool's first
+    response stands in as the gold, so that the candidate list is the whole
+    pool.  Without a pool file the ranker refuses the example."""
+    if manifest["task"] != "discussion":
+        return "qa", ("?",), None
+    path = os.path.join(data_dir, "candidates_test.txt")
+    if not os.path.exists(path):
+        return "discussion", ("?",), None
+    pool = read_pool(path)
+    if not pool:
+        raise DataError(f"{path}: the candidate pool is empty")
+    return "discussion", (pool[0],), tuple(pool[1:])
+
+
 def cmd_chat(args) -> int:
     manifest, kb = _dataset(args.data)
     _, ranker = _load_ranker(args.model_file, args.data, kb)
+    task_tag, gold, pool = _chat_candidates(manifest, args.data)
     history: list[tuple[str, str]] = []
     transcript = open(args.transcript, "a", encoding="utf-8") if args.transcript else None
     from dialeval.taskgen import Example
@@ -397,8 +414,8 @@ def cmd_chat(args) -> int:
                 continue
             if line == ":quit":
                 break
-            ex = Example(input=line, gold=("?",), context=tuple(history),
-                         task_tag="qa", response_position=len(history) + 1)
+            ex = Example(input=line, gold=gold, context=tuple(history), task_tag=task_tag,
+                         response_position=len(history) + 1, candidate_pool=pool)
             ranked = ranker.rank(ex)
             reply = ranked[0] if ranked else "(no candidates)"
             print(reply)

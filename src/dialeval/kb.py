@@ -4,13 +4,14 @@ Entities (movies, people, genres, tags, year/rating/vote buckets) are interned
 into a dense id table.  Facts are rendered as flat lower-cased sentences
 ("shaolin soccer directed_by stephen chow") and indexed both by their unigrams
 and by the full entity surface forms they contain, so a mention of either
-"soccer" or "shaolin soccer" can recall the fact.
+"soccer" or "shaolin soccer" can recall the fact.  A fact is tokenized into
+its bag once per vocabulary, when it is first recalled (`fact_bags`).
 """
 
 from __future__ import annotations
 
 from dialeval import DataError
-from dialeval.text import normalize
+from dialeval.text import Vocabulary, bag, normalize, tokenize
 
 RELATIONS = (
     "directed_by",
@@ -46,6 +47,8 @@ class KnowledgeBase:
         self.fact_freq: dict[str, int] = {}
         self.movie_ids: list[int] = []
         self._movie_set: set[int] = set()
+        # Vocabulary.key -> fact id -> token bag, filled by fact_bags
+        self.bag_tables: dict[str, dict[int, dict[int, int]]] = {}
         self.frozen = False
 
     # -- entity table ------------------------------------------------------
@@ -145,6 +148,22 @@ class KnowledgeBase:
                 break
             hit.update(dict.fromkeys(self.word_index.get(tok, ())))
         return list(hit)[:budget]
+
+    def fact_bags(self, fact_ids, vocab: Vocabulary) -> list[dict[int, int]]:
+        """The token bag of each fact under `vocab`.  A fact is rendered and
+        tokenized on its first request and its bag is shared from then on,
+        so callers must not modify it.  Tables are kept per vocabulary
+        content (`Vocabulary.key`): a vocabulary loaded twice shares one,
+        vocabularies that tokenize differently never do.  Facts are only
+        appended, so a fact id's bag never goes stale."""
+        table = self.bag_tables.setdefault(vocab.key, {})
+        out = []
+        for fid in fact_ids:
+            b = table.get(fid)
+            if b is None:
+                b = table[fid] = bag(tokenize(vocab, self.render_fact(fid)))
+            out.append(b)
+        return out
 
     def hash_lookup(self, tokens, freq_cutoff: int) -> list[int]:
         """Every fact `recall` finds, with no budget, in id order."""

@@ -15,17 +15,26 @@ embedding columns the example's bags name, leaving the same bits.
 
 Token bags are dicts where they are built; every product reads them in one
 packed form, `PackedBags` (concatenated ids and counts with per-bag
-lengths).  `prepare_memn2n` packs each example's own candidate list once,
-`memn2n_train` packs the shared entity list once per call, a ranker packs
-each pool once, and `memn2n_forward` packs an example's memories once per
-pass, which the training step reuses for its update.  `memn2n_train` runs
-the SGD epoch loop every model shares (`config.sgd_epochs`).
+lengths).  `prepare_memn2n` packs each training example's memories and its
+own candidate list once (`PreparedExample`), `memn2n_train` packs the shared
+entity list once per call, and a ranker packs each pool once.
+`memn2n_train` runs the SGD epoch loop every model shares
+(`config.sgd_epochs`).
+
+Where facts are featurized and embedded: `build_memory` takes each recalled
+fact's bag from `KnowledgeBase.fact_bags`, which tokenizes a fact once per
+vocabulary and shares the bag read-only, and records the fact ids in
+`MemoryState.facts`.  Training embeds every memory with one gemv per bag on
+every step, since A_mem moves.  A ranker's parameters are fixed, so
+`MemN2NRanker` keeps each fact's row A_mem x_f from its first recall, made
+by the same gemv (`embed_bags`), and `memn2n_forward` copies those rows in
+and embeds only the dialog turns: the scores keep their bits.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -43,11 +52,13 @@ LONG_TERM_SLOT = 0
 @dataclass
 class MemoryState:
     """Embeddable view of one dialog position: prior turns, hashed facts and
-    the current input, all as token bags."""
+    the current input, all as token bags.  `facts` are the ids of the
+    recalled facts, whose bags end `memory_bags`."""
 
     input_bag: dict[int, int]
     memory_bags: list[dict[int, int]]
     slots: list[int]
+    facts: list[int] = field(default_factory=list)
 
 
 class MemN2NParams:
@@ -108,31 +119,24 @@ def build_memory(
     """Short-term items are the prior turns (time slots counting backwards
     from the most recent reply); long-term items are the KB facts that
     `KnowledgeBase.recall` finds for the tokens of the last hash_n messages
-    (0 = all, input included), at most max_memories of them."""
-    memory_bags: list[dict[int, int]] = []
-    slots: list[int] = []
+    (0 = all, input included), at most max_memories of them, with the bags
+    `KnowledgeBase.fact_bags` shares.  Each message is tokenized once, for
+    its bag and for recall."""
+    messages = [tokenize(vocab, text) for turn in context for text in turn]
+    messages.append(tokenize(vocab, input_text))
+    memory_bags = [bag(ids) for ids in messages[:-1]]
     n_turns = len(context)
-    for idx, (user_text, reply_text) in enumerate(context):
-        # turn idx contributes slots 2*(n_turns-idx) and 2*(n_turns-idx)-1
-        back = n_turns - idx
-        for text, slot in ((user_text, 2 * back), (reply_text, 2 * back - 1)):
-            memory_bags.append(bag(tokenize(vocab, text)))
-            slots.append(min(slot, cfg.max_memories))
-
+    # turn idx contributes slots 2*(n_turns-idx) and 2*(n_turns-idx)-1
+    slots = [min(2 * (n_turns - idx) - j, cfg.max_memories)
+             for idx in range(n_turns) for j in (0, 1)]
+    facts: list[int] = []
     if kb is not None and kb.n_facts:
-        messages = [t for turn in context for t in turn] + [input_text]
-        if cfg.hash_n > 0:
-            messages = messages[-cfg.hash_n:]
-        tokens = {vocab.symbols[tid] for msg in messages for tid in tokenize(vocab, msg)}
-        for fid in kb.recall(tokens, cfg.hash_cutoff, cfg.max_memories):
-            memory_bags.append(bag(tokenize(vocab, kb.render_fact(fid))))
-            slots.append(LONG_TERM_SLOT)
-
-    return MemoryState(
-        input_bag=bag(tokenize(vocab, input_text)),
-        memory_bags=memory_bags,
-        slots=slots,
-    )
+        recent = messages[-cfg.hash_n:] if cfg.hash_n > 0 else messages
+        tokens = {vocab.symbols[tid] for ids in recent for tid in ids}
+        facts = kb.recall(tokens, cfg.hash_cutoff, cfg.max_memories)
+        memory_bags += kb.fact_bags(facts, vocab)
+        slots += [LONG_TERM_SLOT] * len(facts)
+    return MemoryState(bag(messages[-1]), memory_bags, slots, facts)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +155,8 @@ class PackedBags:
     step read embedding rows without walking the bags as dicts.
 
     Entries keep each bag's `as_arrays` order.  What only an update needs is
-    computed on first use: `bag` names the bag of every entry, `touched` the
-    distinct ids and `pos` each entry's index in it."""
+    computed on first use: `touched` names the distinct ids and `pos` each
+    entry's index in it."""
 
     def __init__(self, bags: list[dict[int, int]]):
         self.lengths = np.fromiter(map(len, bags), dtype=np.int64, count=len(bags))
@@ -168,10 +172,6 @@ class PackedBags:
         """(start, stop) of every bag's entries."""
         stops = np.cumsum(self.lengths).tolist()
         return zip([0, *stops], stops)
-
-    @cached_property
-    def bag(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self)), self.lengths)
 
     @cached_property
     def _unique(self) -> tuple[np.ndarray, np.ndarray]:
@@ -201,16 +201,17 @@ class PackedBags:
                 G[c] = self.counts[start:stop] @ W[self.ids[start:stop]]
         return G
 
-    def sum_by_id(self, entry_rows: np.ndarray) -> np.ndarray:
-        """One row per `touched` id: the rows of its entries added to zeros one
-        at a time in entry order, the order of a dense `X[ids] += ...` loop
-        over the bags."""
-        d = entry_rows.shape[1]
-        out = np.zeros(self.touched.size * d)
-        # unbuffered, one element at a time; on the flat index it is far
-        # faster than row-wise np.add.at
-        np.add.at(out, (self.pos[:, None] * d + np.arange(d)).ravel(), entry_rows.ravel())
-        return out.reshape(self.touched.size, d)
+
+def sum_by_id(pos: np.ndarray, n_ids: int, entry_rows: np.ndarray) -> np.ndarray:
+    """One row per distinct id, where entry e holds the `pos[e]`-th: the rows
+    of its entries added to zeros one at a time in entry order, the order of
+    a dense `X[ids] += ...` loop over the bags."""
+    d = entry_rows.shape[1]
+    out = np.zeros(n_ids * d)
+    # unbuffered, one element at a time; on the flat index it is far
+    # faster than row-wise np.add.at
+    np.add.at(out, (pos[:, None] * d + np.arange(d)).ravel(), entry_rows.ravel())
+    return out.reshape(n_ids, d)
 
 
 def candidate_matrix(W: np.ndarray, candidate_bags: list[dict[int, int]]) -> np.ndarray:
@@ -218,13 +219,12 @@ def candidate_matrix(W: np.ndarray, candidate_bags: list[dict[int, int]]) -> np.
     return PackedBags(candidate_bags).matrix(W)
 
 
-def _embed_memories(p: MemN2NParams, memories: PackedBags, slots: list[int]) -> np.ndarray:
-    """m_i = A_mem x_i + T[s_i], one gemv per memory bag."""
-    M = np.zeros((len(memories), p.dim))
-    for i, (start, stop) in enumerate(memories.spans()):
+def embed_bags(A: np.ndarray, bags: PackedBags) -> np.ndarray:
+    """A x_i for every bag x_i, one gemv per bag (zeros for an empty bag)."""
+    M = np.zeros((len(bags), A.shape[0]))
+    for i, (start, stop) in enumerate(bags.spans()):
         if stop > start:
-            M[i] = p.A_mem[:, memories.ids[start:stop]] @ memories.counts[start:stop]
-    M += p.T[slots]
+            M[i] = A[:, bags.ids[start:stop]] @ bags.counts[start:stop]
     return M
 
 
@@ -234,17 +234,30 @@ def memn2n_forward(
     p: MemN2NParams,
     G: np.ndarray | None = None,
     _cache: dict | None = None,
+    memories: PackedBags | None = None,
+    fact_rows: np.ndarray | None = None,
 ):
-    """Candidate scores (pre-softmax) and the attention vector of every hop."""
+    """Candidate scores (pre-softmax) and the attention vector of every hop.
+
+    m_i = A_mem x_i + T[s_i].  `memories` is `ms.memory_bags` packed, if
+    the caller keeps it.  `fact_rows` holds A_mem x_f for each of
+    `ms.facts`, in order, if the caller keeps those: then only the dialog
+    turns are embedded here, and the rows are copied in for the rest."""
     if not candidate_bags and G is None:
         raise NumericalError("no candidates to score")
     ids, counts = as_arrays(ms.input_bag)
     u = p.A_in[:, ids] @ counts if ids.size else np.zeros(p.dim)
     attentions: list[np.ndarray] = []
     us = [u]
-    memories = PackedBags(ms.memory_bags)
-    if len(memories):
-        M = _embed_memories(p, memories, ms.slots)
+    if fact_rows is None:
+        if memories is None:
+            memories = PackedBags(ms.memory_bags)
+        M = embed_bags(p.A_mem, memories)
+    else:  # a ranker's pass: nothing here is cached for an update
+        turns = PackedBags(ms.memory_bags[:len(ms.memory_bags) - len(ms.facts)])
+        M = np.vstack([embed_bags(p.A_mem, turns), fact_rows])
+    if len(M):
+        M += p.T[ms.slots]
         for k in range(p.hops):
             attn = _softmax(M @ u)
             c = attn @ M
@@ -252,8 +265,6 @@ def memn2n_forward(
             u = o + u
             attentions.append(attn)
             us.append(u)
-    else:
-        M = np.zeros((0, p.dim))
     if G is None:
         G = candidate_matrix(p.W, candidate_bags)
     scores = G @ u
@@ -283,12 +294,13 @@ def _backprop_hops(p: MemN2NParams, cache: dict, dq: np.ndarray):
 
 
 def _forward_loss(ms: MemoryState, candidates: PackedBags, gold_idx: int,
-                  p: MemN2NParams):
+                  p: MemN2NParams, memories: PackedBags | None = None):
     """Forward cache, loss -log softmax(scores)[gold] and dL/dscores."""
     if not len(candidates):
         raise NumericalError("no candidates to score")
     cache: dict = {}
-    scores, _ = memn2n_forward(ms, [], p, G=candidates.matrix(p.W), _cache=cache)
+    scores, _ = memn2n_forward(ms, [], p, G=candidates.matrix(p.W), _cache=cache,
+                               memories=memories)
     dist = _softmax(scores)
     loss = -float(np.log(max(dist[gold_idx], 1e-300)))
     dz = dist.copy()
@@ -328,31 +340,40 @@ def memn2n_grads(ms: MemoryState, candidates: PackedBags, gold_idx: int,
 
 
 def memn2n_train_step(ms: MemoryState, candidates: PackedBags, gold_idx: int,
-                      p: MemN2NParams, lr: float) -> float:
+                      p: MemN2NParams, lr: float,
+                      memories: PackedBags | None = None) -> float:
     """One SGD step on -log softmax(scores)[gold].  Only the embedding columns
     that the input, memory and candidate bags name are read and written, yet
     every parameter ends bit for bit where subtracting lr * memn2n_grads(...)
     from A_in, A_mem, W, R and T, in that order, would leave it: the same
     products are summed in the same order, and the columns no bag names
-    would only have had zero subtracted."""
-    cache, loss, dz = _forward_loss(ms, candidates, gold_idx, p)
+    would only have had zero subtracted.  `memories` is `ms.memory_bags`
+    packed, if the caller keeps it; the memories are embedded afresh every
+    step, since A_mem moves."""
+    cache, loss, dz = _forward_loss(ms, candidates, gold_idx, p, memories)
     if not np.isfinite(loss):
         raise NumericalError("non-finite cross-entropy loss")
 
     # dense: dW[ids_c] += dz_c * outer(counts_c, q), bag by bag
     q = cache["us"][-1]
-    dW_rows = candidates.sum_by_id(dz[candidates.bag, None] * (candidates.counts[:, None] * q))
+    dz_entries = np.repeat(dz, candidates.lengths)[:, None]
+    dW_rows = sum_by_id(candidates.pos, candidates.touched.size,
+                        dz_entries * (candidates.counts[:, None] * q))
     du, dM, dR = _backprop_hops(p, cache, cache["G"].T @ dz)
     # dense: dA_mem[:, ids_i] += outer(dM_i, counts_i) and dT[slot_i] += dM_i
     memories = cache["memories"]
-    dA_mem = memories.sum_by_id(dM[memories.bag] * memories.counts[:, None])
+    # found anew every step: kept on every prepared example, the memories'
+    # distinct ids would cost more memory than they save time
+    mem_ids, mem_pos = np.unique(memories.ids, return_inverse=True)
+    dM_entries = np.repeat(dM, memories.lengths, axis=0)
+    dA_mem = sum_by_id(mem_pos, mem_ids.size, dM_entries * memories.counts[:, None])
     dT = np.zeros_like(p.T)
     np.add.at(dT, np.asarray(ms.slots, dtype=np.int64), dM)
 
     ids, counts = as_arrays(ms.input_bag)
     if ids.size:
         p.A_in[:, ids] -= lr * np.outer(du, counts)
-    p.A_mem[:, memories.touched] -= lr * dA_mem.T  # A_mem may be A_in itself
+    p.A_mem[:, mem_ids] -= lr * dA_mem.T  # A_mem may be A_in itself
     # W may be a transposed view of A_in: the update writes through it
     p.W[candidates.touched] -= lr * dW_rows
     p.R -= lr * dR
@@ -365,6 +386,10 @@ class PreparedExample:
     state: MemoryState
     gold_indices: list[int]   # indices into the candidate list
     candidates: PackedBags | None = None  # None: the shared set
+    memories: PackedBags = field(init=False)  # the state's memory bags, packed once
+
+    def __post_init__(self):
+        self.memories = PackedBags(self.state.memory_bags)
 
 
 def memn2n_train(
@@ -386,6 +411,7 @@ def memn2n_train(
         ex = prepared[i]
         gold = ex.gold_indices[rng.randrange(len(ex.gold_indices))]
         cands = shared if ex.candidates is None else ex.candidates
-        return memn2n_train_step(ex.state, cands, gold, params, cfg.learning_rate)
+        return memn2n_train_step(ex.state, cands, gold, params, cfg.learning_rate,
+                                 ex.memories)
 
     return sgd_epochs(len(prepared), step, params.check_finite, cfg.epochs, rng, log_fn)

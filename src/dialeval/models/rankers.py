@@ -10,6 +10,11 @@ A pool is shared by many examples.  Each ranker featurizes a pool once, in a
 dict keyed by the pool tuple itself, so examples whose pools hold the same
 responses share one entry, whatever tuple object holds them; the gold
 differs from example to example and is featurized per example.
+
+memn2n's memories come from `build_memory`, whose fact bags the KB keeps
+per vocabulary.  The ranker's parameters are fixed, so `MemN2NRanker` also
+keeps each recalled fact's embedded row A_mem x_f from its first recall on,
+and `memn2n_forward` embeds only the example's dialog turns.
 """
 
 from __future__ import annotations
@@ -22,7 +27,10 @@ from dialeval import DataError
 from dialeval.kb import KnowledgeBase
 from dialeval.models.config import TrainConfig, rank_order
 from dialeval.models.embeddings import EmbedParams, embed_sum
-from dialeval.models.memn2n import MemN2NParams, build_memory, candidate_matrix, memn2n_forward
+from dialeval.models.memn2n import (
+    MemN2NParams, MemoryState, PackedBags, build_memory, candidate_matrix, embed_bags,
+    memn2n_forward,
+)
 from dialeval.models.mf import MFParams, mf_scores
 from dialeval.models.tfidf import TfIdfModel
 from dialeval.taskgen import Example
@@ -150,9 +158,27 @@ class MemN2NRanker(Ranker):
         self.kb = kb
         self.cfg = cfg
         self._entity_G = candidate_matrix(params.W, self.entities.bags)
+        # row f is A_mem x_f once fact f of the (frozen) KB has been
+        # recalled; rows never recalled are neither computed nor, mostly,
+        # resident
+        n_facts = kb.n_facts if kb is not None else 0
+        self._fact_rows = np.empty((n_facts, params.dim))
+        self._has_row = np.zeros(n_facts, dtype=bool)
 
     def _matrix(self, texts) -> np.ndarray:
         return candidate_matrix(self.params.W, [bag(tokenize(self.vocab, c)) for c in texts])
+
+    def _recalled_rows(self, ms: MemoryState) -> np.ndarray:
+        """A_mem x_f of each fact the state recalled, in order.  A fact's row
+        is embedded on its first recall and kept."""
+        facts = np.asarray(ms.facts, dtype=np.int64)
+        new = np.flatnonzero(~self._has_row[facts])
+        if new.size:
+            kb_bags = ms.memory_bags[len(ms.memory_bags) - facts.size:]
+            self._fact_rows[facts[new]] = embed_bags(
+                self.params.A_mem, PackedBags([kb_bags[i] for i in new]))
+            self._has_row[facts[new]] = True
+        return self._fact_rows[facts]
 
     def score(self, example: Example) -> tuple[list[str], np.ndarray]:
         labels = self.labels(example)
@@ -160,7 +186,8 @@ class MemN2NRanker(Ranker):
                           self.vocab, self.cfg)
         own = self.pool(example, self._matrix)
         G = self._entity_G if own is None else np.vstack(own)
-        scores, _ = memn2n_forward(ms, [], self.params, G=G)
+        scores, _ = memn2n_forward(ms, [], self.params, G=G,
+                                   fact_rows=self._recalled_rows(ms))
         return labels, scores
 
 

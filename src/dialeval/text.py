@@ -45,6 +45,11 @@ class Vocabulary:
             self._by_first.setdefault(words[0], []).append((words, i))
         for cands in self._by_first.values():
             cands.sort(key=lambda wi: (-len(wi[0]), not self.entity_flags[wi[1]], wi[1]))
+        # the symbols and flags the tokenizer was built from, as one string
+        # (which caches its hash): vocabularies with equal keys tokenize
+        # alike, so featurizations can be shared by content, not by object
+        self.key = "\n".join(f"{'E' if e else 'U'}{s}"
+                              for s, e in zip(self.symbols, self.entity_flags))
 
     @property
     def size(self) -> int:

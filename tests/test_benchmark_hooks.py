@@ -42,3 +42,37 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert memn2n.candidate_matrix is before
+
+
+def test_traced_memory_counts_and_tokenize_calls():
+    """Under a trace, build_memory's hook counts what the state holds, and
+    preparing memn2n examples tokenizes each message once and each fact at
+    most once."""
+    import dialeval.cli  # noqa: F401
+    from dialeval import pipeline
+    from dialeval.ingest import gen_synthetic_sources
+    from dialeval.models import TrainConfig, memn2n
+    from dialeval.taskgen import gen_qarecs
+    from dialeval.templates import DEFAULT_TEMPLATES
+
+    kb, ratings, _ = gen_synthetic_sources(5, 20, 15, 30, 5)
+    examples = gen_qarecs(kb, ratings, DEFAULT_TEMPLATES, 0, 10)
+    vocab = pipeline.build_vocab(examples, kb, min_freq=1)
+    cfg = TrainConfig(max_memories=8)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.stage = "memory"
+        for ex in examples[:6]:
+            state = memn2n.build_memory(list(ex.context), ex.input, kb, vocab, cfg)
+            assert tracer.count("memories", "memory") == len(state.memory_bags)
+            assert tracer.count("kb_memories", "memory") == len(state.facts)
+            tracer.extra.clear()
+        tracer.stage = "prepare"
+        kb.bag_tables.clear()  # every fact is featurized anew
+        pipeline.prepare_memn2n(examples, vocab, kb, cfg)
+        messages = sum(2 * len(ex.context) + 1 for ex in examples)
+        assert tracer.count("kb_memories", "prepare") > 0
+        assert 0 < tracer.calls("tokenize", "prepare") <= messages + kb.n_facts
+    finally:
+        tracer.uninstall()

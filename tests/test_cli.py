@@ -312,7 +312,9 @@ def test_chat_ranks_with_ir_relevance_feedback(discussion_dir, tmp_path, monkeyp
     train = _read_split(discussion_dir, "train")
     rankers = [make_ranker(kind, m, vocab, kb, cfg) for m in
                (train_ir(train, vocab, rf_weight=0.5), train_ir(train, vocab))]
-    texts = [ex.gold[0] for ex in _read_split(discussion_dir, "test")[:20]]
+    test = _read_split(discussion_dir, "test")
+    pool = test[0].candidate_pool
+    texts = [ex.gold[0] for ex in test[:20]]
     changed = 0
     for session in (texts[i:i + 2] for i in range(0, len(texts), 2)):
         lines = iter([*session, ":quit"])
@@ -322,10 +324,36 @@ def test_chat_ranks_with_ir_relevance_feedback(discussion_dir, tmp_path, monkeyp
         replies = capsys.readouterr().out.splitlines()
         history = []
         for line, reply in zip(session, replies, strict=True):
-            ex = Example(input=line, gold=("?",), context=tuple(history),
-                         response_position=len(history) + 1)
+            # the whole test pool, as chat ranks it
+            ex = Example(input=line, gold=pool[:1], context=tuple(history),
+                         task_tag="discussion", response_position=len(history) + 1,
+                         candidate_pool=pool[1:])
             with_rf, without_rf = (r.rank(ex)[0] for r in rankers)
             assert reply == with_rf
             changed += with_rf != without_rf
             history.append((line, reply))
     assert changed  # the feedback changes some replies
+
+
+def test_chat_replies_from_the_discussion_pool(discussion_dir, tmp_path, monkeypatch, capsys):
+    """A discussion model answers with a response of the test split's pool,
+    not with an entity name; without the pool file chat refuses."""
+    import shutil
+
+    from dialeval.data import read_pool
+
+    model = _trained(discussion_dir, tmp_path, "ir")
+    pool = set(read_pool(discussion_dir / "candidates_test.txt"))
+    lines = iter(["what did you think of the ending?", "i liked the music", ":quit"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+    capsys.readouterr()
+    assert run(["chat", "--data", discussion_dir, "--model-file", model]) == 0
+    replies = capsys.readouterr().out.splitlines()
+    assert len(replies) == 2 and all(r in pool for r in replies), replies
+
+    no_pool = tmp_path / "no_pool"
+    shutil.copytree(discussion_dir, no_pool)
+    (no_pool / "candidates_test.txt").unlink()
+    monkeypatch.setattr("builtins.input", lambda prompt="": "hello")
+    assert run(["chat", "--data", no_pool, "--model-file", model]) == 2
+    assert "has no candidates file" in capsys.readouterr().err

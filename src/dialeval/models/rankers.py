@@ -9,7 +9,11 @@ are deterministic.
 A pool is shared by many examples.  Each ranker featurizes a pool once, in a
 dict keyed by the pool tuple itself, so examples whose pools hold the same
 responses share one entry, whatever tuple object holds them; the gold
-differs from example to example and is featurized per example.
+differs from example to example and is featurized per example.  supemb keeps
+a pool as one matrix of output embeddings and ir as one `TfIdfVectors`, and
+each scores the gold and the whole pool in a few numpy calls per example.
+Copies of one response score bit-identically wherever they sit in the list,
+so `rank_order`'s index rule alone orders them.
 
 memn2n's memories come from `build_memory`, whose fact bags the KB keeps
 per vocabulary.  The ranker's parameters are fixed, so `MemN2NRanker` also
@@ -32,13 +36,13 @@ from dialeval.models.memn2n import (
     memn2n_forward,
 )
 from dialeval.models.mf import MFParams, mf_scores
-from dialeval.models.tfidf import TfIdfModel
+from dialeval.models.tfidf import TfIdfModel, TfIdfVectors
 from dialeval.taskgen import Example
 from dialeval.text import Vocabulary, bag, tokenize
 
 
 def rank_by_score(labels: list[str], scores: np.ndarray) -> list[str]:
-    return [labels[i] for i in rank_order(scores)]
+    return [labels[i] for i in rank_order(scores).tolist()]
 
 
 def query_text(example: Example) -> str:
@@ -136,18 +140,24 @@ class EmbedRanker(Ranker):
         # output embeddings of the fixed entity candidates, cached
         self._entity_out = params.U_out[:, self.entities.token_ids]
 
-    def _vectors(self, texts) -> list[np.ndarray]:
-        return [embed_sum(bag(tokenize(self.vocab, c)), self.params.U_out) for c in texts]
+    def _matrix(self, texts) -> np.ndarray:
+        """One row per text: its `embed_sum` over U_out."""
+        out = np.empty((len(texts), self.params.dim))
+        for r, c in enumerate(texts):
+            out[r] = embed_sum(bag(tokenize(self.vocab, c)), self.params.U_out)
+        return out
 
     def score(self, example: Example) -> tuple[list[str], np.ndarray]:
         labels = self.labels(example)
         x = embed_sum(bag(tokenize(self.vocab, query_text(example))), self.params.U_in)
-        own = self.pool(example, self._vectors)
+        own = self.pool(example, self._matrix)
         if own is None:
             return labels, x @ self._entity_out
-        # one dot product per candidate: a single gemv over the stacked
-        # vectors can differ in the last bit and reorder near-ties
-        return labels, np.array([float(x @ y) for y in [*own[0], *own[1]]])
+        # a gemv (G @ x) can sum a row in another order depending on where
+        # the row sits in G, so copies of one response, which a pool often
+        # holds, would split their tie in the last bit; einsum reduces every
+        # row alike
+        return labels, np.einsum("ij,j->i", np.vstack(own), x)
 
 
 class MemN2NRanker(Ranker):
@@ -198,16 +208,16 @@ class TfIdfRanker(Ranker):
         self.use_context = use_context
         self._entity_vectors = self._vectors(self.entities.labels)
 
-    def _vectors(self, texts) -> list[tuple[dict[int, float], float]]:
-        """Each text's tf-idf vector and its norm."""
+    def _vectors(self, texts) -> TfIdfVectors:
+        """The texts' tf-idf vectors, packed."""
         return self.model.candidates([bag(tokenize(self.vocab, c)) for c in texts])
 
     def score(self, example: Example) -> tuple[list[str], np.ndarray]:
         labels = self.labels(example)
         text = query_text(example) if self.use_context else example.input
         own = self.pool(example, self._vectors)
-        vectors = self._entity_vectors if own is None else [*own[0], *own[1]]
-        return labels, self.model.scores(bag(tokenize(self.vocab, text)), vectors)
+        sets = (self._entity_vectors,) if own is None else own
+        return labels, self.model.scores(bag(tokenize(self.vocab, text)), *sets)
 
 
 class MFRanker(Ranker):

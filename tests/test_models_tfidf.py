@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialeval.models.tfidf import TfIdfModel, build_idf, cosine, tfidf_vector
 
@@ -86,3 +88,33 @@ def test_rank_deterministic_on_all_zero():
     docs = [{1: 1}, {2: 1}]
     model = TfIdfModel.fit(docs)
     assert model.rank({9: 1}, docs) == [0, 1]
+
+
+def _bags(terms: int):
+    """Token bags over terms 0..terms-1, in any insertion order, empty ones too."""
+    return st.lists(st.tuples(st.integers(0, terms - 1), st.integers(1, 9)),
+                    max_size=20).map(dict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=st.lists(_bags(24), min_size=1, max_size=10), msgs=st.lists(_bags(30), max_size=10),
+       query=_bags(30), cands=st.lists(_bags(30), max_size=12), rf=st.booleans())
+def test_scores_of_packed_candidates_are_cosine_bit_for_bit(docs, msgs, query, cands, rf):
+    """`scores` over `candidates(...)`'s packed form gives `cosine`'s value
+    for every candidate, bit for bit.  Candidates are shorter than, as long
+    as (the query's own bag, and reversed) and longer than the query, or
+    empty; terms 24-29 occur in no document and have no idf, and a term in
+    every document weighs 0.  With feedback, the query adds the response of
+    the first training message most similar to it under `cosine`."""
+    pairs = list(zip(msgs, docs))
+    model = TfIdfModel.fit(docs, train_pairs=pairs, rf_weight=0.5 if rf else 0.0)
+    v = tfidf_vector(query, model.idf)
+    if rf and pairs:
+        sims = [cosine(v, tfidf_vector(m, model.idf)) for m, _ in pairs]
+        for t, w in tfidf_vector(pairs[sims.index(max(sims))][1], model.idf).items():
+            v[t] = v.get(t, 0.0) + 0.5 * w
+    assert model.query_vector(query) == v
+    cands = [*cands, query, dict(reversed(query.items()))]
+    want = [cosine(v, tfidf_vector(c, model.idf)) for c in cands]
+    got = model.scores(query, model.candidates(cands[:2]), model.candidates(cands[2:]))
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]

@@ -23,6 +23,7 @@ from dialeval.pipeline import (
 from dialeval.models.tfidf import TfIdfModel
 from dialeval.taskgen import Example, gen_discussion, gen_qa, gen_recs
 from dialeval.templates import DEFAULT_TEMPLATES
+from dialeval.text import bag, tokenize
 
 
 def test_rank_by_score_tie_break():
@@ -296,3 +297,54 @@ def test_equal_scores_rank_in_candidate_order(tie_setup, kind, candidates):
         assert len(labels) > 1 and np.all(scores == scores[0])
         want = labels
     assert ranker.rank(ex) == want
+
+
+@pytest.fixture(scope="module")
+def copies_setup():
+    """Discussion examples whose 400-response pools hold copies of their
+    gold at several places, odd ones and the last among them: the gold's
+    text plus a word out of the vocabulary, so the same token bag under
+    another label.  Each query also holds the gold's words.  Also a maker
+    of supemb and ir rankers."""
+    kb, _, threads = gen_synthetic_sources(5, 20, 15, 10, 120)
+    train, _, _, _, _ = gen_discussion(threads, (10, 40), 0)
+    vocab = build_vocab(train, kb, min_freq=1)
+    responses = list(dict.fromkeys(e.gold[0] for e in train))
+    copies = [0, 1, 2, 7, 64, 101, 333, 399]
+    examples = []
+    for ex in train[:8]:
+        others = [r for r in responses if r != ex.gold[0]]
+        pool = [others[i % len(others)] for i in range(400)]
+        for p in copies:
+            pool[p] = f"{ex.gold[0]} unseenword{p}"
+        examples.append(replace(ex, input=f"{ex.input} {ex.gold[0]}",
+                                candidate_pool=tuple(pool), task_tag="discussion"))
+    rng = np.random.default_rng(3)
+    params = {"supemb": EmbedParams(rng.normal(size=(30, vocab.size))),
+              "ir": train_ir(train, vocab)}
+
+    def make(kind):
+        return make_ranker(kind, params[kind], vocab, kb, TrainConfig(dim=30))
+
+    # list index: the gold, then the pool
+    return examples, vocab, [0] + [p + 1 for p in copies], make
+
+
+@pytest.mark.parametrize("kind", ["supemb", "ir"])
+def test_copies_of_the_gold_tie_with_it_wherever_they_sit(copies_setup, kind):
+    """Every copy of the gold in the pool scores bit-identically to the
+    gold, so the index rule alone orders them and the gold ranks first.
+    (A gemv over the stacked candidates, G @ x, scores the last of the 401
+    rows apart from the rest in some queries, hence eight examples.)"""
+    examples, vocab, at, make = copies_setup
+    ranker = make(kind)
+    for ex in examples:
+        labels, scores = ranker.score(ex)
+        assert len(labels) == 401
+        assert len({str(bag(tokenize(vocab, labels[i]))) for i in at}) == 1
+        assert scores[0] != 0.0
+        assert [scores[i].hex() for i in at] == [scores[0].hex()] * len(at)
+        ranked = ranker.rank(ex)
+        places = [ranked.index(labels[i]) for i in at]
+        assert places == sorted(places)
+        assert ranked == rank_by_score(labels, scores)

@@ -128,10 +128,15 @@ def load_threads(path) -> ThreadCorpus:
     "First reply" = the child record with the smallest id.  A root post and
     its first reply form exchange 1; the first reply to that reply starts
     exchange 2, and so on.  Dialogs without a complete exchange are dropped.
+
+    The held-out candidate pool is the distinct bodies, in file order, of
+    the reply records on no dialog's first-reply chain whose text is no
+    dialog's reply.
     """
     body: dict[str, str] = {}
     children: dict[str, list[str]] = {}
     roots: list[str] = []
+    replies: list[tuple[str, str]] = []  # (id, body) of every reply record
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
@@ -147,8 +152,10 @@ def load_threads(path) -> ThreadCorpus:
                 roots.append(rid)
             else:
                 children.setdefault(str(parent), []).append(rid)
+                replies.append((rid, body[rid]))
 
     dialogs: list[list[tuple[str, str]]] = []
+    on_chain: set[str] = set()
     for root in roots:
         chain = [root]
         seen = {root}
@@ -171,7 +178,11 @@ def load_threads(path) -> ThreadCorpus:
         ]
         if exchanges:
             dialogs.append(exchanges)
-    return ThreadCorpus(dialogs)
+            on_chain.update(chain)
+    dialog_replies = {reply for dialog in dialogs for _, reply in dialog}
+    pool = dict.fromkeys(text for rid, text in replies
+                         if rid not in on_chain and text not in dialog_replies)
+    return ThreadCorpus(dialogs, list(pool))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ finite differences, and `memn2n_train_step` applies the same update to the
 embedding columns the example's bags name, leaving the same bits.
 
 Token bags are dicts where they are built; every product reads them in one
-packed form, `PackedBags` (concatenated ids and counts with per-bag
-lengths).  `prepare_memn2n` packs each training example's memories and its
-own candidate list once (`PreparedExample`), `memn2n_train` packs the shared
-entity list once per call, and a ranker packs each pool once.
+packed form, `embeddings.PackedBags` (concatenated ids and counts with CSR
+offsets), which supemb shares.  `prepare_memn2n` packs each training
+example's memories and its own candidate list once (`PreparedExample`),
+`memn2n_train` packs the shared entity list once per call, and a ranker
+packs each pool once.
 `memn2n_train` runs the SGD epoch loop every model shares
 (`config.sgd_epochs`).
 
@@ -35,15 +36,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
 from dialeval import NumericalError
 from dialeval.kb import KnowledgeBase
 from dialeval.models.config import INIT_STD, TrainConfig, check_finite, sgd_epochs
-from dialeval.models.embeddings import as_arrays
+from dialeval.models.embeddings import PackedBags, as_arrays
 from dialeval.text import Vocabulary, bag, tokenize
 
 LONG_TERM_SLOT = 0
@@ -147,59 +146,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
-
-
-class PackedBags:
-    """The one packed form of a list of token bags: concatenated (ids, counts)
-    arrays with per-bag lengths, so that scoring, embedding and the training
-    step read embedding rows without walking the bags as dicts.
-
-    Entries keep each bag's `as_arrays` order.  What only an update needs is
-    computed on first use: `touched` names the distinct ids and `pos` each
-    entry's index in it."""
-
-    def __init__(self, bags: list[dict[int, int]]):
-        self.lengths = np.fromiter(map(len, bags), dtype=np.int64, count=len(bags))
-        n = int(self.lengths.sum())
-        self.ids = np.fromiter(chain.from_iterable(bags), dtype=np.int64, count=n)
-        self.counts = np.fromiter(chain.from_iterable(b.values() for b in bags),
-                                  dtype=np.float64, count=n)
-
-    def __len__(self) -> int:
-        return self.lengths.size
-
-    def spans(self):
-        """(start, stop) of every bag's entries."""
-        stops = np.cumsum(self.lengths).tolist()
-        return zip([0, *stops], stops)
-
-    @cached_property
-    def _unique(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.unique(self.ids, return_inverse=True)
-
-    @property
-    def touched(self) -> np.ndarray:
-        return self._unique[0]
-
-    @property
-    def pos(self) -> np.ndarray:
-        return self._unique[1]
-
-    @cached_property
-    def one_hot(self) -> bool:
-        """One token of count 1 per bag and no id twice: G is rows of W."""
-        return (bool(np.all(self.lengths == 1)) and self.touched.size == self.ids.size
-                and bool(np.all(self.counts == 1.0)))
-
-    def matrix(self, W: np.ndarray) -> np.ndarray:
-        """C x d matrix of output embeddings W^T y_c, one row per bag."""
-        if self.one_hot:
-            return W[self.ids]
-        G = np.zeros((len(self), W.shape[1]))
-        for c, (start, stop) in enumerate(self.spans()):
-            if stop > start:
-                G[c] = self.counts[start:stop] @ W[self.ids[start:stop]]
-        return G
 
 
 def sum_by_id(pos: np.ndarray, n_ids: int, entry_rows: np.ndarray) -> np.ndarray:

@@ -30,10 +30,9 @@ import numpy as np
 from dialeval import DataError
 from dialeval.kb import KnowledgeBase
 from dialeval.models.config import TrainConfig, rank_order
-from dialeval.models.embeddings import EmbedParams, embed_sum
+from dialeval.models.embeddings import EmbedParams, PackedBags, embed_sum
 from dialeval.models.memn2n import (
-    MemN2NParams, MemoryState, PackedBags, build_memory, candidate_matrix, embed_bags,
-    memn2n_forward,
+    MemN2NParams, MemoryState, build_memory, candidate_matrix, embed_bags, memn2n_forward,
 )
 from dialeval.models.mf import MFParams, mf_scores
 from dialeval.models.tfidf import TfIdfModel, TfIdfVectors

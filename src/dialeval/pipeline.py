@@ -9,9 +9,9 @@ from dialeval import DataError
 from dialeval.ingest import Ratings
 from dialeval.kb import KnowledgeBase
 from dialeval.models import TrainConfig
-from dialeval.models.embeddings import embed_train, init_embed
+from dialeval.models.embeddings import PackedBags, embed_train, init_embed
 from dialeval.models.memn2n import (
-    PackedBags, PreparedExample, build_memory, init_memn2n, memn2n_train,
+    PreparedExample, build_memory, init_memn2n, memn2n_train,
 )
 from dialeval.models.mf import mf_train
 from dialeval.models.rankers import (

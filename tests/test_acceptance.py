@@ -17,9 +17,7 @@ from dialeval.evaluation import evaluate
 from dialeval.ingest import gen_synthetic_sources
 from dialeval.kb import RELATIONS, KnowledgeBase, fact_tokens, parse_rendered
 from dialeval.models import TrainConfig
-from dialeval.models.embeddings import (
-    EmbedParams, embed_sum, hinge_loss_and_grads, init_embed,
-)
+from dialeval.models.embeddings import EmbedParams, embed_sum, init_embed
 from dialeval.models.memn2n import (
     MemoryState, PackedBags, _softmax, init_memn2n, memn2n_forward, memn2n_grads,
     memn2n_train,
@@ -29,6 +27,7 @@ from dialeval.pipeline import build_vocab, make_ranker, prepare_memn2n
 from dialeval.taskgen import Example, gen_qa
 from dialeval.templates import DEFAULT_TEMPLATES
 
+from tests.embedding_reference import hinge_loss_and_grads
 from tests.test_models_embeddings import away_from_hinge_kink, fd_grad, rel_err
 from tests.test_kb import RECALL_BUDGETS, brute_force_recall
 from tests.test_models_memn2n import rand_bag

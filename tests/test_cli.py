@@ -189,6 +189,45 @@ def test_gen_discussion_refuses_empty_pool(tmp_path, capsys):
     assert "pool sizes must be >= 1" in capsys.readouterr().err
 
 
+def _thread_sources(tmp_path, n_off_chain):
+    """A triples file and a threads file of 10 dialogs, whose roots also get
+    `n_off_chain` distinct later replies between them."""
+    triples = tmp_path / "kb.txt"
+    triples.write_text("the river\tdirected_by\tana holm\n")
+    records = []
+    for d in range(10):
+        root, first = f"{d:02d}0", f"{d:02d}1"
+        records.append({"id": root, "parent_id": None, "body": f"post number {d}"})
+        records.append({"id": first, "parent_id": root, "body": f"reply number {d}"})
+    records += [{"id": f"{i % 10:02d}{2 + i // 10}", "parent_id": f"{i % 10:02d}0",
+                 "body": f"a later reply {i}"} for i in range(n_off_chain)]
+    threads = tmp_path / "threads.jsonl"
+    threads.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return triples, threads
+
+
+def test_gen_discussion_pools_a_thread_file(tmp_path):
+    triples, threads = _thread_sources(tmp_path, 12)
+    out = tmp_path / "d"
+    assert run(["gen", "--task", "discussion", "--out", out, "--triples", triples,
+                "--threads-file", threads, "--pool-size", 5, "--seed", 0]) == 0
+    dev = (out / "candidates_dev.txt").read_text().splitlines()
+    test = (out / "candidates_test.txt").read_text().splitlines()
+    assert len(dev) == len(test) == 5
+    assert not set(dev) & set(test)
+    assert all(c.startswith("a later reply") for c in dev + test)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sum(manifest["sizes"].values()) == 10
+
+
+def test_gen_discussion_refuses_a_thread_file_with_too_few_replies(tmp_path, capsys):
+    triples, threads = _thread_sources(tmp_path, 9)
+    assert run(["gen", "--task", "discussion", "--out", tmp_path / "d",
+                "--triples", triples, "--threads-file", threads,
+                "--pool-size", 5, "--seed", 0]) == 2
+    assert "candidate pool has 9 responses, need 10" in capsys.readouterr().err
+
+
 def _trained(qa_dir, tmp_path, model, *extra):
     path = tmp_path / "m.bin"
     assert run(["train", "--data", qa_dir, "--model", model, "--out", path,

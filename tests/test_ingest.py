@@ -95,6 +95,23 @@ def test_load_threads_first_reply_is_smallest_id(tmp_path):
     assert corpus.dialogs == [[("root", "first reply"), ("followup", "second reply")]]
 
 
+def test_load_threads_pools_off_chain_replies(tmp_path):
+    path = _threads_file(tmp_path, [
+        {"id": "1", "parent_id": None, "body": "root"},
+        {"id": "3", "parent_id": "1", "body": "late reply"},
+        {"id": "2", "parent_id": "1", "body": "first reply"},
+        {"id": "4", "parent_id": "2", "body": "followup"},
+        {"id": "5", "parent_id": "4", "body": "second reply"},
+        {"id": "6", "parent_id": "4", "body": "late reply"},     # a repeat
+        {"id": "7", "parent_id": "2", "body": "second reply"},   # a dialog reply
+        {"id": "8", "parent_id": "3", "body": "reply to a late reply"},
+        {"id": "9", "parent_id": None, "body": "a post nobody answered"},
+    ])
+    corpus = load_threads(path)
+    assert corpus.dialogs == [[("root", "first reply"), ("followup", "second reply")]]
+    assert corpus.candidate_pool == ["late reply", "reply to a late reply"]
+
+
 def test_load_threads_drops_replyless_roots(tmp_path):
     path = _threads_file(tmp_path, [
         {"id": "1", "parent_id": None, "body": "lonely"},

@@ -6,9 +6,12 @@ import pytest
 from dialeval import NumericalError
 from dialeval.models import TrainConfig
 from dialeval.models.embeddings import (
-    SINGLE_DICT, TWO_DICT, EmbedParams, embed_score, embed_sum, embed_train,
-    hinge_loss_and_grads, hinge_step, init_embed,
+    SINGLE_DICT, TWO_DICT, EmbedParams, PackedBags, as_arrays, embed_score, embed_sum,
+    embed_train, hinge_step, init_embed,
 )
+
+from tests import embedding_reference as reference
+from tests.embedding_reference import hinge_loss_and_grads
 
 
 def fd_grad(f, arr, h=1e-6):
@@ -105,7 +108,8 @@ def test_hinge_step_equals_dense_update(variant):
         _, g_in, g_out = hinge_loss_and_grads(params, x, y_pos, y_negs, margin)
         want_in = params.U_in - lr * (g_in + g_out if variant == SINGLE_DICT else g_in)
         want_out = want_in if variant == SINGLE_DICT else params.U_out - lr * g_out
-        hinge_step(params, x, y_pos, y_negs, margin, lr)
+        hinge_step(params, as_arrays(x), as_arrays(y_pos), PackedBags(y_negs),
+                   list(range(len(y_negs))), margin, lr)
         np.testing.assert_allclose(params.U_in, want_in, atol=1e-12)
         np.testing.assert_allclose(params.U_out, want_out, atol=1e-12)
 
@@ -114,7 +118,8 @@ def test_hinge_step_noop_without_violation():
     p = init_embed(6, 3, TWO_DICT, seed=1)
     before_in, before_out = p.U_in.copy(), p.U_out.copy()
     # margin 0 and y_neg == y_pos gives violation exactly 0: no update
-    loss = hinge_step(p, {2: 1}, {3: 1}, [{3: 1}], 0.0, 0.1)
+    loss = hinge_step(p, as_arrays({2: 1}), as_arrays({3: 1}), PackedBags([{3: 1}]), [0],
+                      0.0, 0.1)
     assert loss == 0.0
     np.testing.assert_array_equal(p.U_in, before_in)
     np.testing.assert_array_equal(p.U_out, before_out)
@@ -146,3 +151,58 @@ def test_embed_train_deterministic():
     p2, l2 = embed_train(data, pool, cfg, init_embed(6, cfg.dim, TWO_DICT, cfg.seed))
     assert l1 == l2
     np.testing.assert_array_equal(p1.U_in, p2.U_in)
+
+
+def assert_same_bits(a, b):
+    """Equal values and equal signs, so that -0.0 and +0.0 differ too."""
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+def bit_instance(pool_kind, variant, d):
+    """Training data, a negative pool and parameters that reach every case the
+    packed step handles: an empty query bag and an empty gold bag, a one-hot
+    entity pool or a pool of 0- to 8-token bags, and -0.0 entries in U_in and
+    U_out (row 0; at d = 1 only the entities' columns, so that the other
+    columns still train)."""
+    rng = random.Random(5)
+    V = 40
+    words = range(2, 30)
+    entities = list(range(30, 38))
+
+    def words_bag(lo, hi):
+        return {i: rng.randint(1, 3) for i in rng.sample(words, rng.randint(lo, hi))}
+
+    if pool_kind == "entities":
+        pool = [{e: 1} for e in entities]
+        golds = [{rng.choice(entities): 1} for _ in range(24)]
+    else:
+        pool = [words_bag(1, 8) for _ in range(7)] + [{}]
+        golds = [words_bag(1, 6) for _ in range(24)]
+    golds[5] = {}
+    queries = [words_bag(1, 6) for _ in range(24)]
+    queries[3] = {}
+    params = init_embed(V, d, variant, seed=3)
+    zero_cols = slice(None) if d > 1 else slice(entities[0], None)
+    params.U_in[0, zero_cols] = -0.0
+    params.U_out[0, zero_cols] = -0.0
+    return list(zip(queries, golds)), pool, params
+
+
+@pytest.mark.parametrize("d", [1, 8])
+@pytest.mark.parametrize("pool_kind", ["entities", "responses"])
+@pytest.mark.parametrize("variant", [SINGLE_DICT, TWO_DICT])
+def test_embed_train_equals_dict_reference_bit_for_bit(pool_kind, variant, d):
+    # 12 draws from a pool of 8 draw some negative twice in every step, and a
+    # margin of 0.5 keeps most of them active
+    cfg = TrainConfig(learning_rate=0.05, dim=d, epochs=5, margin=0.5, n_neg=12, seed=4)
+    data, pool, params = bit_instance(pool_kind, variant, d)
+    want_data, want_pool, want = bit_instance(pool_kind, variant, d)
+    _, losses = embed_train(data, pool, cfg, params)
+    _, want_losses = reference.embed_train(want_data, want_pool, cfg, want)
+    assert losses == want_losses
+    assert_same_bits(params.U_in, want.U_in)
+    assert_same_bits(params.U_out, want.U_out)
+    assert (params.U_out is params.U_in) == (variant == SINGLE_DICT)
+    # some -0.0 entries survive training, so their sign is checked
+    assert np.signbit(params.U_out[0][params.U_out[0] == 0.0]).any()

@@ -1,9 +1,12 @@
 #!/bin/sh
 # Fingerprint of what the program writes at fixed seeds: generate small
-# synthetic qa, qarecs and discussion datasets, train memn2n (1, 2 and 3
-# dictionaries), supemb (1 and 2) and ir on each, evaluate every model on
-# its test split, and print the sha256 of every file written, sorted by
-# path.  Two checkouts that print the same lines write the same bytes.
+# synthetic qa, recs, qarecs, discussion and joint datasets, train memn2n
+# (1, 2 and 3 dictionaries), supemb (1 and 2), ir (with and without
+# relevance feedback) on each and mf on those with ratings, evaluate every
+# model and the oracle on its test split, and print the sha256 of every file
+# written, sorted by path.  Two checkouts that print the same lines write the
+# same bytes.  mf is not evaluated on joint, whose discussion examples it
+# refuses by design.
 #
 #     scripts/fingerprint.sh OUT > fingerprint.txt
 #
@@ -27,21 +30,46 @@ dialeval() {
     python3 -m dialeval.cli "$@" > /dev/null
 }
 
+# train TASK NAME [train options]: train models/TASK-NAME.bin
+train() {
+    task=$1 name=$2
+    shift 2
+    dialeval train --data "$OUT/$task" --out "$OUT/models/$task-$name.bin" \
+        --hops 2 --epochs 2 --seed 3 --dim 20 "$@"
+}
+
+# evaluate TASK NAME: report on models/TASK-NAME.bin
+evaluate() {
+    dialeval eval --data "$OUT/$1" --model-file "$OUT/models/$1-$2.bin" \
+        --out "$OUT/reports/$1-$2"
+}
+
 dialeval gen --task qa --out "$OUT/qa" --synthetic --seed 5 \
     --movies 40 --train 200 --dev 30 --test 30
 dialeval gen --task qarecs --out "$OUT/qarecs" --synthetic --seed 5 \
     --movies 40 --users 40 --train 60 --dev 10 --test 10
 dialeval gen --task discussion --out "$OUT/discussion" --synthetic --seed 5 \
     --threads 150 --pool-size 50
+for task in recs joint; do
+    dialeval gen --task $task --out "$OUT/$task" --synthetic --seed 5 \
+        --movies 40 --users 40 --train 200 --dev 30 --test 30
+done
 
-for task in qa qarecs discussion; do
+for task in qa recs qarecs discussion joint; do
     for model in memn2n:1 memn2n:2 memn2n:3 supemb:1 supemb:2 ir:1; do
         name="${model%:*}${model#*:}"
-        dialeval train --data "$OUT/$task" --model "${model%:*}" --dicts "${model#*:}" \
-            --out "$OUT/models/$task-$name.bin" --hops 2 --epochs 2 --seed 3 --dim 20
-        dialeval eval --data "$OUT/$task" --model-file "$OUT/models/$task-$name.bin" \
-            --out "$OUT/reports/$task-$name"
+        train $task "$name" --model "${model%:*}" --dicts "${model#*:}"
+        evaluate $task "$name"
     done
+    train $task ir-rf --model ir --rf-weight 0.5
+    evaluate $task ir-rf
+    dialeval eval --data "$OUT/$task" --oracle --out "$OUT/reports/$task-oracle"
+done
+for task in recs qarecs joint; do
+    train $task mf --model mf
+done
+for task in recs qarecs; do
+    evaluate $task mf
 done
 
 cd "$OUT"

@@ -280,7 +280,12 @@ def _dataset(data_dir: str):
     if not os.path.exists(manifest_path):
         raise DataError(f"{data_dir}: not a dataset directory (no manifest.json)")
     with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
+        try:
+            manifest = json.load(f)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{manifest_path}:{e.lineno}: bad manifest: {e.msg}") from None
+    if not isinstance(manifest, dict) or "task" not in manifest:
+        raise DataError(f"{manifest_path}: the manifest names no task")
     kb_path = os.path.join(data_dir, "kb.txt")
     kb = load_triples(kb_path).freeze() if os.path.exists(kb_path) else None
     return manifest, kb

@@ -61,8 +61,18 @@ def read_examples(path, pool: list[str] | None = None) -> list[Example]:
     meta_path = str(path) + ".meta.jsonl"
     if not os.path.exists(meta_path):
         raise DataError(f"missing metadata sidecar {meta_path}")
+    metas: list[dict] = []
     with open(meta_path, encoding="utf-8") as mf:
-        metas = [json.loads(line) for line in mf if line.strip()]
+        for lineno, line in enumerate(mf, 1):
+            if not line.strip():
+                continue
+            try:
+                meta = json.loads(line)
+                metas.append({k: meta[k] for k in ("task", "class", "position", "dialog")})
+            except KeyError as e:
+                raise DataError(f"{meta_path}:{lineno}: metadata record lacks {e}") from None
+            except (json.JSONDecodeError, TypeError) as e:
+                raise DataError(f"{meta_path}:{lineno}: bad metadata record: {e}") from None
     # one tuple for the whole split, so rankers featurize the pool once
     shared_pool = tuple(pool) if pool is not None else None
     out: list[Example] = []

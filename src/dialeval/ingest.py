@@ -147,6 +147,8 @@ def load_threads(path) -> ThreadCorpus:
             except (json.JSONDecodeError, KeyError, TypeError) as e:
                 raise DataError(f"{path}:{lineno}: bad thread record: {e}") from e
             rid = str(rid)
+            if rid in body:
+                raise DataError(f"{path}:{lineno}: record id {rid!r} is repeated")
             body[rid] = str(text)
             if parent is None:
                 roots.append(rid)
@@ -157,21 +159,11 @@ def load_threads(path) -> ThreadCorpus:
     dialogs: list[list[tuple[str, str]]] = []
     on_chain: set[str] = set()
     for root in roots:
+        # ids are unique, so every record has one parent and a root none:
+        # the walk down from a root cannot meet a record twice
         chain = [root]
-        seen = {root}
-        cur = root
-        while True:
-            kids = children.get(cur)
-            if not kids:
-                break
-            nxt = min(kids)
-            if nxt in seen:
-                raise DataError(f"cyclic parent references at record {nxt!r}")
-            if nxt not in body:
-                break
-            chain.append(nxt)
-            seen.add(nxt)
-            cur = nxt
+        while kids := children.get(chain[-1]):
+            chain.append(min(kids))
         exchanges = [
             (body[chain[i]], body[chain[i + 1]])
             for i in range(0, len(chain) - 1, 2)

@@ -8,16 +8,19 @@ that every model shares (`config.sgd_epochs`).
 
 Token bags are dicts where they are built; every product reads them in one
 packed form, `PackedBags` (concatenated ids and counts with CSR offsets),
-which memn2n shares.  `embed_train` packs the query bags, the gold bags and
-the negative pool once per call, and `hinge_step` reads an example's bags
-as slices of them.  A step leaves the parameters bit for bit where walking
-the dict bags one negative at a time would:
-- a pool of one-token bags of count 1 (the entity table) gives all the
-  drawn negatives in one gather, `U_out[:, ids].T + 0.0`: the gemv that
-  embeds a one-token bag turns a -0.0 entry into +0.0, and `+ 0.0` does
-  the same;
-- a multi-token negative keeps its own gemv, because a batched product
-  changes the last bit of bags of 4 or more tokens;
+which memn2n shares.  One routine, `PackedBags.embed(A, rows)`, turns packed
+bags into embedding rows A x_c for every model, by two rules:
+- a pool of one-token bags of count 1 (the entity table) is one gather,
+  `A[:, ids].T + 0.0`: the gemv that embeds a one-token bag turns a -0.0
+  entry into +0.0, and `+ 0.0` does the same;
+- any other bag keeps its own gemv, `embed_sum`'s, because a batched
+  product changes the last bit of bags of 4 or more tokens.
+So every row is bit for bit the `embed_sum` of its bag.
+
+`embed_train` packs the query bags, the gold bags and the negative pool once
+per call, and `hinge_step` reads an example's bags as slices of them and
+embeds its drawn negatives with `embed`.  A step leaves the parameters bit
+for bit where walking the dict bags one negative at a time would:
 - the negatives' dots are one row-wise call, `np.matmul` of 1 x d rows by
   the d x 1 query, which sums each row as `float(ex @ en)` does;
 - the loss and the query's gradient are summed in draw order, and the
@@ -116,23 +119,23 @@ class PackedBags:
     @cached_property
     def single_tokens(self) -> bool:
         """One token of count 1 per bag: bag c embeds as column `ids[c]`."""
-        return (self.ids.size == len(self) and bool(np.all(self.lengths == 1))
+        return (0 < self.ids.size == len(self) and bool(np.all(self.lengths == 1))
                 and bool(np.all(self.counts == 1.0)))
 
-    @cached_property
-    def one_hot(self) -> bool:
-        """Single tokens and no id twice: G is rows of W."""
-        return self.single_tokens and self.touched.size == self.ids.size
-
-    def matrix(self, W: np.ndarray) -> np.ndarray:
-        """C x d matrix of output embeddings W^T y_c, one row per bag."""
-        if self.one_hot:
-            return W[self.ids]
-        G = np.zeros((len(self), W.shape[1]))
-        for c, (start, stop) in enumerate(self.spans()):
+    def embed(self, A: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """One row A x_c per bag c, of every bag or of the bags `rows` in
+        order: `embed_sum`'s gemv, bit for bit, or zeros for an empty bag.
+        A pool of one-token bags is one gather instead, whose `+ 0.0` turns a
+        -0.0 entry into +0.0 as that gemv does."""
+        if self.single_tokens:
+            return A[:, self.ids if rows is None else self.ids[rows]].T + 0.0
+        starts, stops = ((self.offsets[:-1], self.offsets[1:]) if rows is None
+                         else (self.offsets[rows], self.offsets[rows + 1]))
+        out = np.zeros((starts.size, A.shape[0]))
+        for r, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
             if stop > start:
-                G[c] = self.counts[start:stop] @ W[self.ids[start:stop]]
-        return G
+                out[r] = A[:, self.ids[start:stop]] @ self.counts[start:stop]
+        return out
 
 
 class EmbedParams:
@@ -185,15 +188,7 @@ def hinge_step(
     ep = _embed(p.U_out, *y_pos)
     score_pos = float(ex @ ep)
     drawn = np.asarray(draws, dtype=np.int64)
-    if pool.single_tokens:
-        # "+ 0.0" turns -0.0 into +0.0, as the gemv of a one-token bag does
-        En = p.U_out[:, pool.ids[drawn]].T + 0.0
-    else:
-        En = np.zeros((drawn.size, p.dim))
-        bounds = pool.offsets[drawn].tolist(), pool.offsets[drawn + 1].tolist()
-        for r, (start, stop) in enumerate(zip(*bounds)):
-            if stop > start:
-                En[r] = p.U_out[:, pool.ids[start:stop]] @ pool.counts[start:stop]
+    En = pool.embed(p.U_out, drawn)
     violations = (margin - score_pos) + np.matmul(En[:, None, :], ex[:, None])[:, 0, 0]
     active = ~(violations <= 0)  # a NaN counts, as in a loop
     if not active.any():

@@ -15,8 +15,13 @@ embedding columns the example's bags name, leaving the same bits.
 
 Token bags are dicts where they are built; every product reads them in one
 packed form, `embeddings.PackedBags` (concatenated ids and counts with CSR
-offsets), which supemb shares.  `prepare_memn2n` packs each training
-example's memories and its own candidate list once (`PreparedExample`),
+offsets), which supemb shares, and every bag is embedded by one routine,
+`PackedBags.embed`: one gather for a pool of one-token bags of count 1 (the
+entity table), whose `+ 0.0` turns -0.0 into +0.0, and one gemv, bit for
+bit `embed_sum`'s, for any other bag.  Memories embed through A_mem,
+candidates through W^T (`candidate_matrix`) and the input through
+`embed_sum` over A_in.  `prepare_memn2n` packs each training example's
+memories and its own candidate list once (`PreparedExample`),
 `memn2n_train` packs the shared entity list once per call, and a ranker
 packs each pool once.
 `memn2n_train` runs the SGD epoch loop every model shares
@@ -25,11 +30,11 @@ packs each pool once.
 Where facts are featurized and embedded: `build_memory` takes each recalled
 fact's bag from `KnowledgeBase.fact_bags`, which tokenizes a fact once per
 vocabulary and shares the bag read-only, and records the fact ids in
-`MemoryState.facts`.  Training embeds every memory with one gemv per bag on
-every step, since A_mem moves.  A ranker's parameters are fixed, so
-`MemN2NRanker` keeps each fact's row A_mem x_f from its first recall, made
-by the same gemv (`embed_bags`), and `memn2n_forward` copies those rows in
-and embeds only the dialog turns: the scores keep their bits.
+`MemoryState.facts`.  Training embeds every memory on every step, since
+A_mem moves.  A ranker's parameters are fixed, so `MemN2NRanker` keeps each
+fact's row A_mem x_f from its first recall, made by the same `embed`, and
+`memn2n_forward` copies those rows in and embeds only the dialog turns: the
+scores keep their bits.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import numpy as np
 from dialeval import NumericalError
 from dialeval.kb import KnowledgeBase
 from dialeval.models.config import INIT_STD, TrainConfig, check_finite, sgd_epochs
-from dialeval.models.embeddings import PackedBags, as_arrays
+from dialeval.models.embeddings import PackedBags, as_arrays, embed_sum
 from dialeval.text import Vocabulary, bag, tokenize
 
 LONG_TERM_SLOT = 0
@@ -162,16 +167,7 @@ def sum_by_id(pos: np.ndarray, n_ids: int, entry_rows: np.ndarray) -> np.ndarray
 
 def candidate_matrix(W: np.ndarray, candidate_bags: list[dict[int, int]]) -> np.ndarray:
     """C x d matrix of output embeddings W^T y_c; cache this for fixed pools."""
-    return PackedBags(candidate_bags).matrix(W)
-
-
-def embed_bags(A: np.ndarray, bags: PackedBags) -> np.ndarray:
-    """A x_i for every bag x_i, one gemv per bag (zeros for an empty bag)."""
-    M = np.zeros((len(bags), A.shape[0]))
-    for i, (start, stop) in enumerate(bags.spans()):
-        if stop > start:
-            M[i] = A[:, bags.ids[start:stop]] @ bags.counts[start:stop]
-    return M
+    return PackedBags(candidate_bags).embed(W.T)
 
 
 def memn2n_forward(
@@ -191,17 +187,16 @@ def memn2n_forward(
     turns are embedded here, and the rows are copied in for the rest."""
     if not candidate_bags and G is None:
         raise NumericalError("no candidates to score")
-    ids, counts = as_arrays(ms.input_bag)
-    u = p.A_in[:, ids] @ counts if ids.size else np.zeros(p.dim)
+    u = embed_sum(ms.input_bag, p.A_in)
     attentions: list[np.ndarray] = []
     us = [u]
     if fact_rows is None:
         if memories is None:
             memories = PackedBags(ms.memory_bags)
-        M = embed_bags(p.A_mem, memories)
+        M = memories.embed(p.A_mem)
     else:  # a ranker's pass: nothing here is cached for an update
         turns = PackedBags(ms.memory_bags[:len(ms.memory_bags) - len(ms.facts)])
-        M = np.vstack([embed_bags(p.A_mem, turns), fact_rows])
+        M = np.vstack([turns.embed(p.A_mem), fact_rows])
     if len(M):
         M += p.T[ms.slots]
         for k in range(p.hops):
@@ -245,7 +240,7 @@ def _forward_loss(ms: MemoryState, candidates: PackedBags, gold_idx: int,
     if not len(candidates):
         raise NumericalError("no candidates to score")
     cache: dict = {}
-    scores, _ = memn2n_forward(ms, [], p, G=candidates.matrix(p.W), _cache=cache,
+    scores, _ = memn2n_forward(ms, [], p, G=candidates.embed(p.W.T), _cache=cache,
                                memories=memories)
     dist = _softmax(scores)
     loss = -float(np.log(max(dist[gold_idx], 1e-300)))

@@ -6,24 +6,30 @@ table, and refuses a discussion example without a pool.  `config.rank_order`
 orders the scores and breaks ties by candidate index, ascending, so rankings
 are deterministic.
 
-A pool is shared by many examples.  Each ranker featurizes a pool once, in a
-dict keyed by the pool tuple itself, so examples whose pools hold the same
+A pool is shared by many examples.  `Ranker.pool` tokenizes a pool into bags
+and hands them to the model's packer once, keeping the result in a dict
+keyed by the pool tuple itself, so examples whose pools hold the same
 responses share one entry, whatever tuple object holds them; the gold
-differs from example to example and is featurized per example.  supemb keeps
-a pool as one matrix of output embeddings and ir as one `TfIdfVectors`, and
-each scores the gold and the whole pool in a few numpy calls per example.
-Copies of one response score bit-identically wherever they sit in the list,
-so `rank_order`'s index rule alone orders them.
+differs from example to example and is packed per example.  supemb and
+memn2n keep a pool as one matrix of output embeddings, made by the routine
+that embeds every bag, `PackedBags.embed` (one gather for a pool of
+one-token bags of count 1, with `+ 0.0`; one gemv for any other bag), and
+ir as one `TfIdfVectors`; each scores the gold and the whole pool in a few
+numpy calls per example.  Copies of one response score bit-identically
+wherever they sit in the list, so `rank_order`'s index rule alone orders
+them.
 
 memn2n's memories come from `build_memory`, whose fact bags the KB keeps
 per vocabulary.  The ranker's parameters are fixed, so `MemN2NRanker` also
-keeps each recalled fact's embedded row A_mem x_f from its first recall on,
-and `memn2n_forward` embeds only the example's dialog turns.
+keeps each recalled fact's embedded row A_mem x_f, made by `embed`, from
+its first recall on, and `memn2n_forward` embeds only the example's dialog
+turns.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import numpy as np
 
@@ -32,10 +38,10 @@ from dialeval.kb import KnowledgeBase
 from dialeval.models.config import TrainConfig, rank_order
 from dialeval.models.embeddings import EmbedParams, PackedBags, embed_sum
 from dialeval.models.memn2n import (
-    MemN2NParams, MemoryState, build_memory, candidate_matrix, embed_bags, memn2n_forward,
+    MemN2NParams, MemoryState, build_memory, candidate_matrix, memn2n_forward,
 )
 from dialeval.models.mf import MFParams, mf_scores
-from dialeval.models.tfidf import TfIdfModel, TfIdfVectors
+from dialeval.models.tfidf import TfIdfModel
 from dialeval.taskgen import Example
 from dialeval.text import Vocabulary, bag, tokenize
 
@@ -90,18 +96,22 @@ class Ranker:
             raise DataError(f"{type(self).__name__} needs a vocabulary or explicit candidates")
         return self.entities.labels
 
-    def pool(self, example: Example, featurize):
-        """`featurize(texts)` of the example's explicit list as (the gold's,
-        the pool's), or None when it ranks the entity table, whose features
-        each ranker makes once.  The featurizer is not stored: a ranker's
-        bound method kept on it would make a reference cycle."""
+    def bags(self, texts) -> list[dict[int, int]]:
+        """One token bag per text."""
+        return [bag(tokenize(self.vocab, text)) for text in texts]
+
+    def pool(self, example: Example, pack):
+        """`pack(bags)` of the example's explicit list, tokenized into bags
+        here, as (the gold's, the pool's), or None when it ranks the entity
+        table, whose features each ranker makes once.  `pack` is not stored:
+        a ranker's bound method kept on it would make a reference cycle."""
         pool = example.candidate_pool
         if pool is None:
             return None
         shared = self._pools.get(pool)
         if shared is None:
-            shared = self._pools[pool] = featurize(pool)
-        return featurize(example.gold[:1]), shared
+            shared = self._pools[pool] = pack(self.bags(pool))
+        return pack(self.bags(example.gold[:1])), shared
 
     def rank(self, example: Example) -> list[str]:
         return rank_by_score(*self.score(example))
@@ -139,17 +149,10 @@ class EmbedRanker(Ranker):
         # output embeddings of the fixed entity candidates, cached
         self._entity_out = params.U_out[:, self.entities.token_ids]
 
-    def _matrix(self, texts) -> np.ndarray:
-        """One row per text: its `embed_sum` over U_out."""
-        out = np.empty((len(texts), self.params.dim))
-        for r, c in enumerate(texts):
-            out[r] = embed_sum(bag(tokenize(self.vocab, c)), self.params.U_out)
-        return out
-
     def score(self, example: Example) -> tuple[list[str], np.ndarray]:
         labels = self.labels(example)
         x = embed_sum(bag(tokenize(self.vocab, query_text(example))), self.params.U_in)
-        own = self.pool(example, self._matrix)
+        own = self.pool(example, lambda bags: PackedBags(bags).embed(self.params.U_out))
         if own is None:
             return labels, x @ self._entity_out
         # a gemv (G @ x) can sum a row in another order depending on where
@@ -174,9 +177,6 @@ class MemN2NRanker(Ranker):
         self._fact_rows = np.empty((n_facts, params.dim))
         self._has_row = np.zeros(n_facts, dtype=bool)
 
-    def _matrix(self, texts) -> np.ndarray:
-        return candidate_matrix(self.params.W, [bag(tokenize(self.vocab, c)) for c in texts])
-
     def _recalled_rows(self, ms: MemoryState) -> np.ndarray:
         """A_mem x_f of each fact the state recalled, in order.  A fact's row
         is embedded on its first recall and kept."""
@@ -184,8 +184,8 @@ class MemN2NRanker(Ranker):
         new = np.flatnonzero(~self._has_row[facts])
         if new.size:
             kb_bags = ms.memory_bags[len(ms.memory_bags) - facts.size:]
-            self._fact_rows[facts[new]] = embed_bags(
-                self.params.A_mem, PackedBags([kb_bags[i] for i in new]))
+            self._fact_rows[facts[new]] = PackedBags(
+                [kb_bags[i] for i in new]).embed(self.params.A_mem)
             self._has_row[facts[new]] = True
         return self._fact_rows[facts]
 
@@ -193,7 +193,7 @@ class MemN2NRanker(Ranker):
         labels = self.labels(example)
         ms = build_memory(list(example.context), example.input, self.kb,
                           self.vocab, self.cfg)
-        own = self.pool(example, self._matrix)
+        own = self.pool(example, partial(candidate_matrix, self.params.W))
         G = self._entity_G if own is None else np.vstack(own)
         scores, _ = memn2n_forward(ms, [], self.params, G=G,
                                    fact_rows=self._recalled_rows(ms))
@@ -205,16 +205,12 @@ class TfIdfRanker(Ranker):
         super().__init__(vocab)
         self.model = model
         self.use_context = use_context
-        self._entity_vectors = self._vectors(self.entities.labels)
-
-    def _vectors(self, texts) -> TfIdfVectors:
-        """The texts' tf-idf vectors, packed."""
-        return self.model.candidates([bag(tokenize(self.vocab, c)) for c in texts])
+        self._entity_vectors = model.candidates(self.entities.bags)
 
     def score(self, example: Example) -> tuple[list[str], np.ndarray]:
         labels = self.labels(example)
         text = query_text(example) if self.use_context else example.input
-        own = self.pool(example, self._vectors)
+        own = self.pool(example, self.model.candidates)
         sets = (self._entity_vectors,) if own is None else own
         return labels, self.model.scores(bag(tokenize(self.vocab, text)), *sets)
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -148,6 +149,43 @@ def test_eval_requires_model_or_oracle(qa_dir, capsys):
     assert run(["eval", "--data", qa_dir]) == 1
 
 
+def _damaged_copy(qa_dir, tmp_path, name, damage):
+    """A copy of the dataset whose file `name` has had `damage` applied to
+    its lines."""
+    data = tmp_path / "qa"
+    shutil.copytree(qa_dir, data)
+    path = data / name
+    path.write_text("".join(damage(path.read_text().splitlines(keepends=True))))
+    return data
+
+
+def _oracle_refused(data, capsys, message):
+    capsys.readouterr()
+    assert run(["eval", "--data", data, "--oracle"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_eval_refuses_a_truncated_sidecar_record(qa_dir, tmp_path, capsys):
+    data = _damaged_copy(qa_dir, tmp_path, "test.txt.meta.jsonl",
+                         lambda lines: lines[:4] + [lines[4][:20] + "\n"] + lines[5:])
+    _oracle_refused(data, capsys, "test.txt.meta.jsonl:5: bad metadata record")
+
+
+def test_eval_refuses_a_sidecar_record_without_position(qa_dir, tmp_path, capsys):
+    def drop_position(lines):
+        record = json.loads(lines[2])
+        del record["position"]
+        return lines[:2] + [json.dumps(record) + "\n"] + lines[3:]
+
+    data = _damaged_copy(qa_dir, tmp_path, "test.txt.meta.jsonl", drop_position)
+    _oracle_refused(data, capsys, "test.txt.meta.jsonl:3: metadata record lacks 'position'")
+
+
+def test_eval_refuses_a_cut_manifest(qa_dir, tmp_path, capsys):
+    data = _damaged_copy(qa_dir, tmp_path, "manifest.json", lambda lines: lines[:3])
+    _oracle_refused(data, capsys, "manifest.json:4: bad manifest")
+
+
 def test_report_pretty_prints(qa_dir, qa_model, tmp_path, capsys):
     prefix = tmp_path / "r"
     run(["eval", "--data", qa_dir, "--model-file", qa_model, "--out", prefix])
@@ -226,6 +264,16 @@ def test_gen_discussion_refuses_a_thread_file_with_too_few_replies(tmp_path, cap
                 "--triples", triples, "--threads-file", threads,
                 "--pool-size", 5, "--seed", 0]) == 2
     assert "candidate pool has 9 responses, need 10" in capsys.readouterr().err
+
+
+def test_gen_discussion_refuses_a_thread_file_with_a_repeated_id(tmp_path, capsys):
+    triples, threads = _thread_sources(tmp_path, 12)
+    with threads.open("a") as f:
+        f.write(json.dumps({"id": "011", "parent_id": "020", "body": "reply b"}) + "\n")
+    assert run(["gen", "--task", "discussion", "--out", tmp_path / "d",
+                "--triples", triples, "--threads-file", threads,
+                "--pool-size", 5, "--seed", 0]) == 2
+    assert "threads.jsonl:33: record id '011' is repeated" in capsys.readouterr().err
 
 
 def _trained(qa_dir, tmp_path, model, *extra):

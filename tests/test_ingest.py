@@ -122,12 +122,26 @@ def test_load_threads_drops_replyless_roots(tmp_path):
 
 
 def test_load_threads_detects_cycles(tmp_path):
+    """A walk down from a root can only come back to a record whose id
+    repeats, and a repeated id is refused."""
     path = _threads_file(tmp_path, [
         {"id": "1", "parent_id": None, "body": "a"},
         {"id": "2", "parent_id": "1", "body": "b"},
         {"id": "1", "parent_id": "2", "body": "a again"},
     ])
-    with pytest.raises(DataError, match="cycl"):
+    with pytest.raises(DataError, match=r":3: record id '1' is repeated"):
+        load_threads(path)
+
+
+def test_load_threads_refuses_a_repeated_id(tmp_path):
+    # kept, the second "2" would end both dialogs with "reply b"
+    path = _threads_file(tmp_path, [
+        {"id": "1", "parent_id": None, "body": "root a"},
+        {"id": "2", "parent_id": "1", "body": "reply a"},
+        {"id": 3, "parent_id": None, "body": "root b"},
+        {"id": 2, "parent_id": "3", "body": "reply b"},
+    ])
+    with pytest.raises(DataError, match=r"threads.jsonl:4: record id '2' is repeated"):
         load_threads(path)
 
 

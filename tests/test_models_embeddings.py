@@ -9,6 +9,7 @@ from dialeval.models.embeddings import (
     SINGLE_DICT, TWO_DICT, EmbedParams, PackedBags, as_arrays, embed_score, embed_sum,
     embed_train, hinge_step, init_embed,
 )
+from dialeval.models.memn2n import LONG_TERM_SLOT, MemoryState, init_memn2n, memn2n_forward
 
 from tests import embedding_reference as reference
 from tests.embedding_reference import hinge_loss_and_grads
@@ -206,3 +207,62 @@ def test_embed_train_equals_dict_reference_bit_for_bit(pool_kind, variant, d):
     assert (params.U_out is params.U_in) == (variant == SINGLE_DICT)
     # some -0.0 entries survive training, so their sign is checked
     assert np.signbit(params.U_out[0][params.U_out[0] == 0.0]).any()
+
+
+def embed_instance(kind, layout):
+    """Bags of one kind and a d x V matrix to embed them with: C-order, or
+    the transpose of a separate V x d W, as memn2n embeds candidates.
+    Column 5 holds -0.0 in every row, and every kind names it."""
+    rng = random.Random(11)
+    V, d = 60, 37
+    gen = np.random.default_rng(11)
+    A = gen.normal(size=(d, V)) if layout == "c_order" else gen.normal(size=(V, d)).T
+    A[:, 5] = -0.0
+    if kind == "one_token":
+        bags = [{rng.randrange(2, V): 1} for _ in range(30)] + [{5: 1}, {5: 1}]
+    elif kind == "one_token_and_empty":
+        bags = [{rng.randrange(2, V): 1} for _ in range(10)] + [{}, {5: 1}]
+    elif kind == "multi_token":
+        bags = [{i: rng.randint(1, 3) for i in rng.sample(range(2, V), rng.randint(1, 12))}
+                for _ in range(40)] + [{5: 2}, {5: 1, 7: 3}]
+    else:  # empty pack
+        bags = []
+    return bags, A
+
+
+@pytest.mark.parametrize("layout", ["c_order", "transposed"])
+@pytest.mark.parametrize("kind", ["one_token", "one_token_and_empty", "multi_token",
+                                  "empty_pack"])
+def test_packed_embed_is_embed_sum_bit_for_bit(kind, layout):
+    bags, A = embed_instance(kind, layout)
+    packed = PackedBags(bags)
+    assert packed.single_tokens == (kind == "one_token")
+    want = np.array([embed_sum(b, A) for b in bags]).reshape(len(bags), A.shape[0])
+    assert_same_bits(packed.embed(A), want)
+    # rows in any order, with repeats
+    rows = np.random.default_rng(3).integers(0, max(len(bags), 1), 3 * len(bags))
+    assert_same_bits(packed.embed(A, rows), want[rows])
+
+
+def test_ranker_fact_rows_keep_forward_bits_when_turns_are_one_token():
+    """A ranker embeds the dialog turns (here all one-token bags: one gather)
+    apart from the kept fact rows (several tokens: one gemv each); the scores
+    and attentions must be those of embedding every memory in one pack."""
+    rng = random.Random(4)
+    V, d = 50, 37
+    p = init_memn2n(V, d, hops=2, max_memories=10, n_dicts=3, seed=2)
+    p.A_mem[:, 3] = -0.0
+    turns = [{3: 1}] + [{rng.randrange(2, V): 1} for _ in range(5)]
+    fact_bags = [{i: rng.randint(1, 2) for i in rng.sample(range(2, V), rng.randint(2, 9))}
+                 for _ in range(4)]
+    ms = MemoryState({7: 1, 9: 2}, turns + fact_bags,
+                     [6, 5, 4, 3, 2, 1] + [LONG_TERM_SLOT] * 4, facts=[8, 2, 5, 0])
+    cands = [{rng.randrange(2, V): 1} for _ in range(12)]
+    assert PackedBags(turns).single_tokens
+    assert not PackedBags(ms.memory_bags).single_tokens
+    want_scores, want_attn = memn2n_forward(ms, cands, p)
+    scores, attn = memn2n_forward(ms, cands, p,
+                                  fact_rows=PackedBags(fact_bags).embed(p.A_mem))
+    assert_same_bits(scores, want_scores)
+    for got, want in zip(attn, want_attn, strict=True):
+        assert_same_bits(got, want)

@@ -310,7 +310,7 @@ def test_candidate_matrix_matches_embed_sum():
     cands = [rand_bag(rng, 10) for _ in range(5)]
     G = candidate_matrix(p.W, cands)
     for c, y in enumerate(cands):
-        np.testing.assert_allclose(G[c], embed_sum(y, p.W.T))
+        np.testing.assert_array_equal(G[c], embed_sum(y, p.W.T))
 
 
 # -- memory construction -------------------------------------------------------

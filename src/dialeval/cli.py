@@ -33,6 +33,7 @@ from dialeval.taskgen import (
     gen_discussion, gen_joint, gen_qa, gen_qarecs, gen_recs,
 )
 from dialeval.templates import DEFAULT_TEMPLATES, load_templates
+from dialeval.text import entity_symbols
 
 log = logging.getLogger("dialeval")
 
@@ -353,8 +354,15 @@ def cmd_train(args) -> int:
 def _load_ranker(model_file: str, data_dir: str, kb, use_context: bool = True):
     """The vocabulary and ranker of a model file.  An ir model file keeps
     its relevance-feedback weight but not the training pairs, so those are
-    refit from the dataset's train split."""
+    refit from the dataset's train split.  A model trained on another KB
+    names other entities, so its hits@k would mean nothing: it is refused."""
     kind, params, cfg, vocab = load_for_ranking(model_file)
+    known = [vocab.symbols[i] for i in vocab.entity_ids()]
+    entities = entity_symbols(kb.entities if kb is not None else [])
+    if known != entities:
+        raise DataError(f"{model_file}.vocab: its {len(known)} KB entities are not "
+                        f"the {len(entities)} of {data_dir}: the model was trained "
+                        "on another KB")
     if kind == KIND_IR and params.rf_weight > 0.0:
         params = train_ir(_read_split(data_dir, "train"), vocab, rf_weight=params.rf_weight)
     return vocab, make_ranker(kind, params, vocab, kb, cfg, use_context=use_context)

@@ -11,11 +11,16 @@ packed form, `PackedBags` (concatenated ids and counts with CSR offsets),
 which memn2n shares.  One routine, `PackedBags.embed(A, rows)`, turns packed
 bags into embedding rows A x_c for every model, by two rules:
 - a pool of one-token bags of count 1 (the entity table) is one gather,
-  `A[:, ids].T + 0.0`: the gemv that embeds a one-token bag turns a -0.0
-  entry into +0.0, and `+ 0.0` does the same;
-- any other bag keeps its own gemv, `embed_sum`'s, because a batched
-  product changes the last bit of bags of 4 or more tokens.
-So every row is bit for bit the `embed_sum` of its bag.
+  `A[:, ids].T + 0.0`;
+- any other pack is one segment sum: the entries' rows `A.T[ids]`, scaled
+  by their counts, summed bag by bag with one `np.add.reduceat` over the
+  starts of the non-empty bags, plus 0.0; an empty bag stays zero.  A large
+  pack is summed in blocks of whole bags, to bound the gathered rows.
+`embed_sum` sums a single bag by the same `reduceat`.  `reduceat` sums a
+segment as its first row plus numpy's pairwise sum of the rest, wherever
+the segment lies in the array, so every row is bit for bit the `embed_sum`
+of its bag; no form of `np.add.reduce`, nor a matrix product, sums in that
+order.  The `+ 0.0` turns a -0.0 sum into +0.0, as the gather's does.
 
 `embed_train` packs the query bags, the gold bags and the negative pool once
 per call, and `hinge_step` reads an example's bags as slices of them and
@@ -40,6 +45,9 @@ from dialeval.models.config import INIT_STD, TrainConfig, check_finite, sgd_epoc
 
 SINGLE_DICT = "single_dict"
 TWO_DICT = "two_dict"
+# entries gathered at once when a pack is embedded, unless one bag has more
+EMBED_BLOCK = 2048
+_FIRST = np.zeros(1, dtype=np.int64)
 
 
 def as_arrays(bag: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -56,8 +64,23 @@ def embed_sum(bag: dict[int, int], M: np.ndarray) -> np.ndarray:
 
 
 def _embed(M: np.ndarray, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """`embed_sum` of the bag (ids, counts): one gemv, or zeros if empty."""
-    return M[:, ids] @ counts if ids.size else np.zeros(M.shape[0])
+    """`embed_sum` of the bag (ids, counts): its segment sum, or zeros if
+    empty.  A one-token bag's segment is its one scaled row."""
+    if ids.size > 1:
+        return _segment_sums(M, ids, counts, _FIRST)[0]
+    return M[:, ids[0]] * counts[0] + 0.0 if ids.size else np.zeros(M.shape[0])
+
+
+def _segment_sums(A: np.ndarray, ids: np.ndarray, counts: np.ndarray,
+                  starts: np.ndarray) -> np.ndarray:
+    """Rows A x_c of the non-empty bags whose entries (ids, counts) begin at
+    `starts` (increasing, the last bag running to the end): one gather of
+    the entries' rows, scaled in place, and one `reduceat`."""
+    X = A.T[ids]
+    X *= counts[:, None]
+    out = np.add.reduceat(X, starts)
+    out += 0.0
+    return out
 
 
 class PackedBags:
@@ -97,12 +120,16 @@ class PackedBags:
 
     def entries(self, rows: np.ndarray) -> np.ndarray:
         """Entry indices of the bags `rows`, bag after bag in `rows` order."""
-        if self.single_tokens:
-            return rows
+        return rows if self.single_tokens else self._select(rows)[0]
+
+    def _select(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Entry indices of the bags `rows` and their offsets among them."""
         starts = self.offsets[rows]
         lengths = self.offsets[rows + 1] - starts
-        first = np.cumsum(lengths) - lengths
-        return np.repeat(starts - first, lengths) + np.arange(int(lengths.sum()))
+        offsets = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return (np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1]),
+                offsets)
 
     @cached_property
     def _unique(self) -> tuple[np.ndarray, np.ndarray]:
@@ -124,17 +151,32 @@ class PackedBags:
 
     def embed(self, A: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """One row A x_c per bag c, of every bag or of the bags `rows` in
-        order: `embed_sum`'s gemv, bit for bit, or zeros for an empty bag.
-        A pool of one-token bags is one gather instead, whose `+ 0.0` turns a
-        -0.0 entry into +0.0 as that gemv does."""
+        order, bit for bit `embed_sum`'s: a gather for a pool of one-token
+        bags, else segment sums over blocks of whole bags of at most
+        `EMBED_BLOCK` entries, with zeros for an empty bag."""
         if self.single_tokens:
             return A[:, self.ids if rows is None else self.ids[rows]].T + 0.0
-        starts, stops = ((self.offsets[:-1], self.offsets[1:]) if rows is None
-                         else (self.offsets[rows], self.offsets[rows + 1]))
-        out = np.zeros((starts.size, A.shape[0]))
-        for r, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
-            if stop > start:
-                out[r] = A[:, self.ids[start:stop]] @ self.counts[start:stop]
+        if rows is None:
+            ids, counts, offsets = self.ids, self.counts, self.offsets
+        else:
+            entries, offsets = self._select(rows)
+            ids, counts = self.ids[entries], self.counts[entries]
+        n = offsets.size - 1
+        out = np.zeros((n, A.shape[0]))
+        lo = 0
+        while lo < n:
+            first = int(offsets[lo])
+            hi = n
+            if offsets[n] - first > EMBED_BLOCK:
+                hi = int(np.searchsorted(offsets, first + EMBED_BLOCK, side="right")) - 1
+                hi = max(hi, lo + 1)
+            stop = int(offsets[hi])
+            if stop > first:
+                starts = offsets[lo:hi]
+                nonempty = starts < offsets[lo + 1:hi + 1]
+                out[lo:hi][nonempty] = _segment_sums(
+                    A, ids[first:stop], counts[first:stop], starts[nonempty] - first)
+            lo = hi
         return out
 
 
@@ -195,7 +237,7 @@ def hinge_step(
         return 0.0
     # both sums run in draw order (np.sum adds 8 or more terms pairwise); d_ex
     # starts from its first row, which gives what starting from zeros would,
-    # since no row is -0.0: a gemv never returns -0.0 and the gather adds 0.0
+    # since no row is -0.0: every embedding adds 0.0 last, or is zeros
     loss = 0.0
     for v in violations[active].tolist():
         loss += v

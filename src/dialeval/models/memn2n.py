@@ -17,14 +17,14 @@ Token bags are dicts where they are built; every product reads them in one
 packed form, `embeddings.PackedBags` (concatenated ids and counts with CSR
 offsets), which supemb shares, and every bag is embedded by one routine,
 `PackedBags.embed`: one gather for a pool of one-token bags of count 1 (the
-entity table), whose `+ 0.0` turns -0.0 into +0.0, and one gemv, bit for
-bit `embed_sum`'s, for any other bag.  Memories embed through A_mem,
-candidates through W^T (`candidate_matrix`) and the input through
-`embed_sum` over A_in.  `prepare_memn2n` packs each training example's
-memories and its own candidate list once (`PreparedExample`),
+entity table), and one segment sum (`np.add.reduceat`, bit for bit
+`embed_sum`'s) over every other pack, so a step embeds all its memories in
+a few numpy calls; both add 0.0, which turns -0.0 into +0.0.  Memories
+embed through A_mem, candidates through W^T (`candidate_matrix`) and the
+input through `embed_sum` over A_in.  `prepare_memn2n` packs each training
+example's memories and its own candidate list once (`PreparedExample`),
 `memn2n_train` packs the shared entity list once per call, and a ranker
-packs each pool once.
-`memn2n_train` runs the SGD epoch loop every model shares
+packs each pool once.  `memn2n_train` runs the SGD epoch loop every model shares
 (`config.sgd_epochs`).
 
 Where facts are featurized and embedded: `build_memory` takes each recalled
@@ -156,8 +156,13 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def sum_by_id(pos: np.ndarray, n_ids: int, entry_rows: np.ndarray) -> np.ndarray:
     """One row per distinct id, where entry e holds the `pos[e]`-th: the rows
     of its entries added to zeros one at a time in entry order, the order of
-    a dense `X[ids] += ...` loop over the bags."""
+    a dense `X[ids] += ...` loop over the bags.  When every id occurs once
+    (the entity table), each row is its entry's plus 0.0, one scatter."""
     d = entry_rows.shape[1]
+    if n_ids == pos.size:
+        out = np.empty((n_ids, d))
+        out[pos] = entry_rows + 0.0
+        return out
     out = np.zeros(n_ids * d)
     # unbuffered, one element at a time; on the flat index it is far
     # faster than row-wise np.add.at

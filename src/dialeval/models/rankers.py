@@ -13,7 +13,7 @@ responses share one entry, whatever tuple object holds them; the gold
 differs from example to example and is packed per example.  supemb and
 memn2n keep a pool as one matrix of output embeddings, made by the routine
 that embeds every bag, `PackedBags.embed` (one gather for a pool of
-one-token bags of count 1, with `+ 0.0`; one gemv for any other bag), and
+one-token bags of count 1, one segment sum for any other pack), and
 ir as one `TfIdfVectors`; each scores the gold and the whole pool in a few
 numpy calls per example.  Copies of one response score bit-identically
 wherever they sit in the list, so `rank_order`'s index rule alone orders

@@ -86,12 +86,9 @@ class Vocabulary:
         return cls(symbols, flags, counts)
 
 
-def build_vocabulary(corpus, entity_names, min_freq: int = 5) -> Vocabulary:
-    """Entities always enter; other unigrams need corpus frequency >= min_freq.
-
-    Ids: <null>, <unk>, entities in given order, then unigrams by descending
-    count (ties lexicographic).
-    """
+def entity_symbols(entity_names) -> list[str]:
+    """The dictionary symbols of KB entity names, in order: each name
+    normalized, empty ones dropped."""
     entities: list[str] = []
     entity_set: set[str] = set()
     for name in entity_names:
@@ -102,6 +99,17 @@ def build_vocabulary(corpus, entity_names, min_freq: int = 5) -> Vocabulary:
             raise DataError(f"duplicate entity name after lower-casing: {norm!r}")
         entity_set.add(norm)
         entities.append(norm)
+    return entities
+
+
+def build_vocabulary(corpus, entity_names, min_freq: int = 5) -> Vocabulary:
+    """Entities always enter; other unigrams need corpus frequency >= min_freq.
+
+    Ids: <null>, <unk>, entities in given order, then unigrams by descending
+    count (ties lexicographic).
+    """
+    entities = entity_symbols(entity_names)
+    entity_set = set(entities)
 
     corpus = list(corpus)  # read twice: unigram counts, then entity matches
     word_counts: dict[str, int] = {}

@@ -2,9 +2,9 @@
 
 `hinge_loss_and_grads` gives the hinge loss with dense gradients, which the
 finite-difference tests check.  `hinge_step` and `embed_train` are the
-training step and loop that walk the dict bags one negative at a time, one
-gemv per bag; `dialeval.models.embeddings` must leave every parameter and
-loss bit for bit where these do.
+training step and loop that walk the dict bags one negative at a time,
+embedding each bag by `embed_sum`; `dialeval.models.embeddings` must leave
+every parameter and loss bit for bit where these do.
 """
 
 from __future__ import annotations

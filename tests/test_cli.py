@@ -332,6 +332,58 @@ def test_eval_and_chat_reject_vocab_of_other_size(qa_dir, tmp_path, capsys,
     assert "m.bin.vocab" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def qa40_dir(tmp_path_factory):
+    """A qa dataset over a KB of 40 movies, where `qa_dir`'s has 30."""
+    out = tmp_path_factory.mktemp("data") / "qa40"
+    assert run(["gen", "--task", "qa", "--out", out, "--synthetic", "--movies", 40,
+                "--train", 40, "--dev", 10, "--test", 10, "--seed", 3]) == 0
+    return out
+
+
+def _refused_for_its_kb(data, model, capsys, monkeypatch):
+    """eval and chat of `model` on `data` exit 2, naming the model's .vocab."""
+    capsys.readouterr()
+    assert run(["eval", "--data", data, "--model-file", model]) == 2
+    captured = capsys.readouterr()
+    assert "hits@" not in captured.out
+    assert f"{model.name}.vocab" in captured.err and "another KB" in captured.err
+
+    def no_input(prompt=""):
+        raise AssertionError("chat read input for a model of another KB")
+
+    monkeypatch.setattr("builtins.input", no_input)
+    assert run(["chat", "--data", data, "--model-file", model]) == 2
+    assert "another KB" in capsys.readouterr().err
+
+
+def test_eval_and_chat_refuse_a_model_of_another_kb(qa_dir, qa40_dir, qa_model, capsys,
+                                                    monkeypatch):
+    _refused_for_its_kb(qa40_dir, qa_model, capsys, monkeypatch)
+    assert run(["eval", "--data", qa_dir, "--model-file", qa_model]) == 0
+
+
+@pytest.mark.parametrize("kind", ["supemb", "ir"])
+def test_eval_and_chat_refuse_a_model_on_a_dataset_without_kb(qa_dir, tmp_path, capsys,
+                                                              monkeypatch, kind):
+    model = _trained(qa_dir, tmp_path, kind)
+    data = tmp_path / "no-kb"
+    shutil.copytree(qa_dir, data)
+    (data / "kb.txt").unlink()
+    _refused_for_its_kb(data, model, capsys, monkeypatch)
+
+
+def test_eval_accepts_a_model_of_an_equal_kb(qa_dir, qa_model, tmp_path, capsys):
+    """Another dataset generated over the same KB keeps the entity list."""
+    data = tmp_path / "qa"
+    assert run(["gen", "--task", "qa", "--out", data, "--synthetic", "--movies", 30,
+                "--train", 40, "--dev", 10, "--test", 10, "--seed", 3]) == 0
+    assert (data / "kb.txt").read_bytes() == (qa_dir / "kb.txt").read_bytes()
+    capsys.readouterr()
+    assert run(["eval", "--data", data, "--model-file", qa_model]) == 0
+    assert "hits@" in capsys.readouterr().out
+
+
 def test_eval_refuses_damaged_model_files(qa_dir, tmp_path, capsys):
     """A model file cut inside its header, a .cfg value of the wrong type and
     a .vocab count that is not a number each exit 2 with the file named."""

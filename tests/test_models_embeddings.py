@@ -5,8 +5,9 @@ import pytest
 
 from dialeval import NumericalError
 from dialeval.models import TrainConfig
+from dialeval.models import embeddings
 from dialeval.models.embeddings import (
-    SINGLE_DICT, TWO_DICT, EmbedParams, PackedBags, as_arrays, embed_score, embed_sum,
+    EMBED_BLOCK, SINGLE_DICT, TWO_DICT, EmbedParams, PackedBags, as_arrays, embed_score, embed_sum,
     embed_train, hinge_step, init_embed,
 )
 from dialeval.models.memn2n import LONG_TERM_SLOT, MemoryState, init_memn2n, memn2n_forward
@@ -214,17 +215,31 @@ def embed_instance(kind, layout):
     the transpose of a separate V x d W, as memn2n embeds candidates.
     Column 5 holds -0.0 in every row, and every kind names it."""
     rng = random.Random(11)
-    V, d = 60, 37
+    V, d = (EMBED_BLOCK + 100 if kind == "blocks" else 60), 37
     gen = np.random.default_rng(11)
     A = gen.normal(size=(d, V)) if layout == "c_order" else gen.normal(size=(V, d)).T
     A[:, 5] = -0.0
+
+    def multi(n, lo=1, hi=12):
+        return [{i: rng.randint(1, 3) for i in rng.sample(range(2, V), rng.randint(lo, hi))}
+                for _ in range(n)]
+
     if kind == "one_token":
         bags = [{rng.randrange(2, V): 1} for _ in range(30)] + [{5: 1}, {5: 1}]
     elif kind == "one_token_and_empty":
         bags = [{rng.randrange(2, V): 1} for _ in range(10)] + [{}, {5: 1}]
     elif kind == "multi_token":
-        bags = [{i: rng.randint(1, 3) for i in rng.sample(range(2, V), rng.randint(1, 12))}
-                for _ in range(40)] + [{5: 2}, {5: 1, 7: 3}]
+        bags = multi(40) + [{5: 2}, {5: 1, 7: 3}]
+    elif kind == "empty_bags":
+        # reduceat gives an empty segment the row at its start, not zeros;
+        # the count-2 one-token bags are single rows scaled by 2
+        bags = ([{}] + multi(10) + [{9: 2}, {}, {}, {5: 2}] + multi(10)
+                + [{5: 1, 7: 3}, {}])
+    elif kind == "long_bags":  # past the 8 rows numpy sums before pairing
+        bags = multi(12, 9, 40) + [{5: 1, **{i: 1 for i in range(10, 30)}}]
+    elif kind == "blocks":  # more entries than a block, and a bag larger than one
+        bags = (multi(300) + [{}] + [{i: 1 for i in range(5, EMBED_BLOCK + 60)}]
+                + multi(200) + [{}])
     else:  # empty pack
         bags = []
     return bags, A
@@ -232,21 +247,35 @@ def embed_instance(kind, layout):
 
 @pytest.mark.parametrize("layout", ["c_order", "transposed"])
 @pytest.mark.parametrize("kind", ["one_token", "one_token_and_empty", "multi_token",
-                                  "empty_pack"])
+                                  "empty_bags", "long_bags", "blocks", "empty_pack"])
 def test_packed_embed_is_embed_sum_bit_for_bit(kind, layout):
     bags, A = embed_instance(kind, layout)
     packed = PackedBags(bags)
     assert packed.single_tokens == (kind == "one_token")
+    if kind == "blocks":
+        assert packed.ids.size > 2 * EMBED_BLOCK
     want = np.array([embed_sum(b, A) for b in bags]).reshape(len(bags), A.shape[0])
     assert_same_bits(packed.embed(A), want)
-    # rows in any order, with repeats
-    rows = np.random.default_rng(3).integers(0, max(len(bags), 1), 3 * len(bags))
+    # rows in any order, with repeats, every empty bag twice among them first
+    empty = [c for c, b in enumerate(bags) if not b]
+    drawn = np.random.default_rng(3).integers(0, max(len(bags), 1), 3 * len(bags))
+    rows = np.array(empty * 2 + drawn.tolist(), dtype=np.int64)
     assert_same_bits(packed.embed(A, rows), want[rows])
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_packed_embed_keeps_its_bits_in_blocks_of_any_size(monkeypatch, block):
+    bags, A = embed_instance("empty_bags", "transposed")
+    want = PackedBags(bags).embed(A)
+    monkeypatch.setattr(embeddings, "EMBED_BLOCK", block)
+    assert_same_bits(PackedBags(bags).embed(A), want)
+    rows = np.array([0, 0, 3, len(bags) - 1, 2, 13], dtype=np.int64)
+    assert_same_bits(PackedBags(bags).embed(A, rows), want[rows])
 
 
 def test_ranker_fact_rows_keep_forward_bits_when_turns_are_one_token():
     """A ranker embeds the dialog turns (here all one-token bags: one gather)
-    apart from the kept fact rows (several tokens: one gemv each); the scores
+    apart from the kept fact rows (several tokens: a segment sum); the scores
     and attentions must be those of embedding every memory in one pack."""
     rng = random.Random(4)
     V, d = 50, 37

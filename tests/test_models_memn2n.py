@@ -10,7 +10,7 @@ from dialeval.models.embeddings import EmbedParams, embed_sum
 from dialeval.models.memn2n import (
     LONG_TERM_SLOT, MemN2NParams, MemoryState, PackedBags, PreparedExample, _softmax,
     build_memory, candidate_matrix, init_memn2n, memn2n_forward, memn2n_grads,
-    memn2n_train, memn2n_train_step,
+    memn2n_train, memn2n_train_step, sum_by_id,
 )
 from dialeval.models.rankers import rank_by_score
 from dialeval.pipeline import build_vocab, prepare_memn2n
@@ -311,6 +311,33 @@ def test_candidate_matrix_matches_embed_sum():
     G = candidate_matrix(p.W, cands)
     for c, y in enumerate(cands):
         np.testing.assert_array_equal(G[c], embed_sum(y, p.W.T))
+
+
+def _sum_by_id_with_add_at(pos, n_ids, entry_rows):
+    """`sum_by_id`'s general path: every entry added to zeros by np.add.at."""
+    d = entry_rows.shape[1]
+    out = np.zeros(n_ids * d)
+    np.add.at(out, (pos[:, None] * d + np.arange(d)).ravel(), entry_rows.ravel())
+    return out.reshape(n_ids, d)
+
+
+@pytest.mark.parametrize("distinct", [True, False])
+def test_sum_by_id_equals_add_at_bit_for_bit(distinct):
+    """With every id once, one row each is scattered with `+ 0.0`, which
+    turns -0.0 into +0.0 as adding it to zeros does."""
+    gen = np.random.default_rng(6)
+    n, d = 40, 7
+    pos = gen.permutation(n) if distinct else gen.integers(0, 12, n)
+    n_ids = n if distinct else 12
+    rows = gen.normal(size=(n, d))
+    rows[3] = -0.0
+    rows[10, 2] = -0.0
+    got = sum_by_id(pos, n_ids, rows)
+    want = _sum_by_id_with_add_at(pos, n_ids, rows)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    if distinct:
+        assert not np.signbit(got[pos[3]]).any()
 
 
 # -- memory construction -------------------------------------------------------

@@ -3,8 +3,9 @@
 # synthetic qa, recs, qarecs, discussion and joint datasets, train memn2n
 # (1, 2 and 3 dictionaries), supemb (1 and 2), ir (with and without
 # relevance feedback) on each and mf on those with ratings, evaluate every
-# model and the oracle on its test split, and print the sha256 of every file
-# written, sorted by path.  Two checkouts that print the same lines write the
+# model and the oracle on its test split (every discussion and joint model
+# also at k = 1, where ties between equal scores decide hits), and print the
+# sha256 of every file written, sorted by path.  Two checkouts that print the same lines write the
 # same bytes.  mf is not evaluated on joint, whose discussion examples it
 # refuses by design.
 #
@@ -38,10 +39,16 @@ train() {
         --hops 2 --epochs 2 --seed 3 --dim 20 "$@"
 }
 
-# evaluate TASK NAME: report on models/TASK-NAME.bin
+# evaluate TASK NAME: report on models/TASK-NAME.bin, and for discussion
+# and joint also at k = 1 (reports/TASK-NAME-k1)
 evaluate() {
     dialeval eval --data "$OUT/$1" --model-file "$OUT/models/$1-$2.bin" \
         --out "$OUT/reports/$1-$2"
+    case $1 in
+    discussion|joint)
+        dialeval eval --data "$OUT/$1" --model-file "$OUT/models/$1-$2.bin" \
+            --k 1 --out "$OUT/reports/$1-$2-k1" ;;
+    esac
 }
 
 dialeval gen --task qa --out "$OUT/qa" --synthetic --seed 5 \

@@ -6,7 +6,7 @@ class DataError(Exception):
 
 
 class NumericalError(Exception):
-    """Training produced a non-finite value; the run is aborted."""
+    """Training or scoring produced a non-finite value; the run is aborted."""
 
 
 __all__ = ["DataError", "NumericalError"]

@@ -1,6 +1,7 @@
 """Command-line pipeline: dialeval gen | train | eval | chat | report.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical abort.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical abort,
+141 standard output closed early (as a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -383,6 +384,8 @@ def cmd_eval(args) -> int:
                                      use_context=not args.no_context)
 
     report = evaluate(ranker, examples, k, vocab=vocab)
+    log.info("%d of %d examples: the gold's score ties another candidate's",
+             report.gold_tied, report.overall.count)
     text = format_report(report, breakdown=args.breakdown)
     print(text)
     if args.out:
@@ -461,7 +464,15 @@ def main(argv=None) -> int:
             "gen": cmd_gen, "train": cmd_train, "eval": cmd_eval,
             "chat": cmd_chat, "report": cmd_report,
         }[args.command]
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (`dialeval eval ... | head -1`):
+        # send what is still buffered to devnull, so that flushing it at
+        # exit raises no second error, and stop without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -1,11 +1,24 @@
 """hits@k evaluation with per-question-type, per-response-position and
-entity-matched breakdowns."""
+entity-matched breakdowns.
+
+`evaluate` asks a ranker for `score(example)`, the candidate labels and
+their scores, once per example, and takes the hit from the best gold's
+rank under `config.rank_order`'s rule without sorting: the candidates
+ranked before the gold are those scored above it plus those scored equal
+at lower indices (Berrendorf et al. 2020 count a rank the same way).  So
+its hits are those of `hits_at_k` over `Ranker.rank`'s list.  The golds'
+indices come from the ranker's entity table, from an index of the
+example's pool built once per pool, or else from a scan of the labels.
+A score that is not finite is refused with `NumericalError`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from dialeval import DataError
+import numpy as np
+
+from dialeval import DataError, NumericalError
 from dialeval.taskgen import Example
 from dialeval.templates import QUESTION_CLASSES
 from dialeval.text import Vocabulary, tokenize
@@ -43,6 +56,9 @@ class EvalReport:
     by_position: dict[str, Cell] = field(default_factory=dict)
     by_task: dict[str, Cell] = field(default_factory=dict)
     entity_matched: Cell = field(default_factory=Cell)
+    # examples whose best gold's score equals a non-gold candidate's; not a
+    # row of the report
+    gold_tied: int = 0
 
     def rows(self) -> list[tuple[str, str, float, int]]:
         out = [("overall", f"hits@{self.k}", self.overall.percent, self.overall.count)]
@@ -72,21 +88,85 @@ def is_entity_matched(example: Example, vocab: Vocabulary) -> bool:
     return False
 
 
+class PoolIndex:
+    """One candidate pool's responses as a set and as a list, made once per
+    pool object that `evaluate` meets."""
+
+    def __init__(self, pool: tuple[str, ...]):
+        self.pool = pool
+        self.members = set(pool)
+        self.tail = list(pool)
+
+    def gold_positions(self, gold: tuple[str, ...], labels: list[str]) -> list[int] | None:
+        """Indices of the golds in `labels` when they are the explicit list
+        [gold[0], *pool], else None."""
+        if (len(labels) != len(self.tail) + 1 or labels[0] != gold[0]
+                or labels[1:] != self.tail):
+            return None
+        extra = {g for g in gold[1:] if g in self.members}
+        if not extra:
+            return [0]
+        return [0] + [i for i, c in enumerate(self.tail, 1) if c in extra]
+
+
+def gold_rank(scores: np.ndarray, gold_at: list[int]) -> tuple[int, bool]:
+    """The best gold's place in `rank_order(scores)` (0 is first), and
+    whether its score equals a non-gold candidate's.  The best gold is the
+    one scored highest, the lowest index among equals; `rank_order` puts
+    before it the candidates scored above it and those scored equal to it
+    at lower indices, so the rank is counted, not sorted."""
+    at = gold_at if len(gold_at) == 1 else sorted(set(gold_at))
+    values = [scores.item(i) for i in at]
+    s = max(values)
+    g = at[values.index(s)]
+    equal = scores == s
+    rank = np.count_nonzero(scores > s) + np.count_nonzero(equal[:g])
+    return int(rank), bool(np.count_nonzero(equal) > values.count(s))
+
+
 def evaluate(ranker, examples: list[Example], k: int,
              vocab: Vocabulary | None = None) -> EvalReport:
-    """Mean hits@k (in percent) plus breakdown cells.  Ranking ties must
-    already be broken deterministically by the ranker."""
+    """Mean hits@k (in percent) plus breakdown cells.  `ranker.score(ex)`
+    gives the candidate labels and their scores; ties are broken by
+    candidate index, as `Ranker.rank` breaks them."""
+    if k < 1:
+        raise DataError("k must be >= 1")
     report = EvalReport(k=k)
+    entities = getattr(ranker, "entities", None)
+    pools: dict[int, PoolIndex] = {}  # by id; each entry holds its pool alive
     for idx, ex in enumerate(examples):
-        if ex.candidate_pool is not None and ex.gold[0] in ex.candidate_pool:
-            raise DataError(f"example {idx}: gold duplicated in candidate pool")
+        gold, pool = ex.gold, ex.candidate_pool
+        if not gold:
+            raise DataError(f"example {idx}: empty gold set")
+        if pool is not None:
+            index = pools.get(id(pool))
+            if index is None or index.pool is not pool:
+                index = pools[id(pool)] = PoolIndex(pool)
+            if gold[0] in index.members:
+                raise DataError(f"example {idx}: gold duplicated in candidate pool")
         try:
-            ranked = ranker.rank(ex)
+            labels, scores = ranker.score(ex)
         except DataError as e:
             raise DataError(f"example {idx}: {e}") from None
-        if ex.candidate_pool is not None and not set(ex.gold) & set(ranked):
-            raise DataError(f"example {idx}: gold missing from explicit candidates")
-        hit = hits_at_k(ranked, ex.gold, k)
+        if not np.isfinite(scores).all():
+            bad = len(scores) - np.count_nonzero(np.isfinite(scores))
+            raise NumericalError(f"example {idx}: {bad} of {len(scores)} candidate "
+                                 "scores are not finite")
+        gold_at = None
+        if pool is not None:
+            gold_at = index.gold_positions(gold, labels)
+        elif entities is not None and labels is entities.labels:
+            gold_at = [i for i in map(entities.index.get, gold) if i is not None]
+        if gold_at is None:
+            gold_set = set(gold)
+            gold_at = [i for i, c in enumerate(labels) if c in gold_set]
+            if pool is not None and not gold_at:
+                raise DataError(f"example {idx}: gold missing from explicit candidates")
+        hit = 0
+        if gold_at:
+            rank, tied = gold_rank(scores, gold_at)
+            hit = int(rank < k)
+            report.gold_tied += tied
         report.overall.add(hit)
         if ex.question_class is not None:
             report.by_class.setdefault(ex.question_class, Cell()).add(hit)

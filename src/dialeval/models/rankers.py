@@ -4,7 +4,10 @@ Every ranker scores one candidate list per example: `Ranker.labels` gives an
 example's explicit list (the gold response, then its pool) or else the entity
 table, and refuses a discussion example without a pool.  `config.rank_order`
 orders the scores and breaks ties by candidate index, ascending, so rankings
-are deterministic.
+are deterministic.  `evaluate` reads only `score`: it counts the gold's rank
+under that rule from the scores, finding the gold through
+`EntityCandidates.index` or the example's pool, and sorts nothing.
+`Ranker.rank`, the sorted label list, is what `chat` replies from.
 
 A pool is shared by many examples.  `Ranker.pool` tokenizes a pool into bags
 and hands them to the model's packer once, keeping the result in a dict
@@ -64,11 +67,11 @@ class EntityCandidates:
         self.token_ids = vocab.entity_ids()
         self.labels = [vocab.symbols[t] for t in self.token_ids]
         self.bags = [{t: 1} for t in self.token_ids]
-        self._index = {label: i for i, label in enumerate(self.labels)}
+        self.index = {label: i for i, label in enumerate(self.labels)}
 
     def gold_indices(self, example: Example) -> list[int]:
         """Indices of the example's golds that are entity symbols."""
-        out = [i for i in map(self._index.get, example.gold) if i is not None]
+        out = [i for i in map(self.index.get, example.gold) if i is not None]
         if not out:
             raise DataError(f"no gold answer is an entity symbol: {example.gold}")
         return out
@@ -132,14 +135,21 @@ class OracleRanker(Ranker):
 
 
 class RandomRanker(Ranker):
+    """Ranks in a seeded random order: each call shuffles the candidate
+    indices and scores them counting down along the shuffled order, so
+    `rank` lists the labels as `random.shuffle` of them would."""
+
     def __init__(self, seed: int, vocab: Vocabulary | None = None):
         super().__init__(vocab)
         self.rng = random.Random(seed)
 
-    def rank(self, example: Example) -> list[str]:
-        labels = list(self.labels(example))
-        self.rng.shuffle(labels)
-        return labels
+    def score(self, example: Example) -> tuple[list[str], np.ndarray]:
+        labels = self.labels(example)
+        order = list(range(len(labels)))
+        self.rng.shuffle(order)
+        scores = np.empty(len(labels))
+        scores[order] = np.arange(len(labels), 0, -1)
+        return labels, scores
 
 
 class EmbedRanker(Ranker):

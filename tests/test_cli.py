@@ -1,10 +1,17 @@
 import json
+import logging
+import os
 import shutil
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import dialeval
 from dialeval.cli import main
 from dialeval.models.io import load_model, save_model
+from dialeval.models.rankers import OracleRanker
 
 
 def run(argv):
@@ -143,6 +150,40 @@ def test_eval_oracle_is_perfect(qa_dir, capsys):
     assert run(["eval", "--data", qa_dir, "--split", "test", "--oracle"]) == 0
     out = capsys.readouterr().out
     assert "  100.0" in out.splitlines()[1]
+
+
+def test_eval_logs_how_many_golds_tie(qa_dir, caplog):
+    with caplog.at_level(logging.INFO, logger="dialeval"):
+        assert run(["eval", "--data", qa_dir, "--oracle"]) == 0
+    assert "0 of 20 examples: the gold's score ties another candidate's" in caplog.text
+
+
+def test_eval_of_a_score_that_is_not_finite_exits_3(qa_dir, monkeypatch, capsys):
+    def nan_scores(self, example):
+        labels = self.labels(example)
+        return labels, np.full(len(labels), np.nan)
+
+    monkeypatch.setattr(OracleRanker, "score", nan_scores)
+    assert run(["eval", "--data", qa_dir, "--oracle"]) == 3
+    assert "numerical abort: example 0: " in capsys.readouterr().err
+
+
+def test_eval_into_a_closed_pipe_exits_quietly(qa_dir):
+    """`dialeval eval ... | head -1` where the reader has gone: status 141,
+    no traceback."""
+    src = os.path.dirname(os.path.dirname(dialeval.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dialeval.cli", "eval", "--data", str(qa_dir),
+             "--oracle"], stdout=write_end, stderr=subprocess.PIPE, env=env,
+            timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert b"Traceback" not in proc.stderr and b"Error" not in proc.stderr
 
 
 def test_eval_requires_model_or_oracle(qa_dir, capsys):

@@ -1,17 +1,25 @@
 import math
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialeval import DataError
+from dialeval import DataError, NumericalError
+from dialeval.cli import _read_split, main
 from dialeval.evaluation import (
     EvalReport, evaluate, format_report, hits_at_k, is_entity_matched,
     report_tsv,
 )
-from dialeval.models.rankers import OracleRanker, RandomRanker
-from dialeval.pipeline import build_vocab
+from dialeval.ingest import load_ratings, load_triples
+from dialeval.models import TrainConfig
+from dialeval.models.rankers import OracleRanker, RandomRanker, Ranker, rank_by_score
+from dialeval.pipeline import (
+    build_vocab, make_ranker, train_ir, train_memn2n, train_mf_from_ratings,
+    train_supemb,
+)
 from dialeval.taskgen import Example
 from dialeval.templates import QUESTION_CLASSES
 
@@ -40,6 +48,10 @@ class FixedRanker:
 
     def rank(self, example):
         return list(self.ranking)
+
+    def score(self, example):
+        """The ranking's labels, scored from the top down."""
+        return list(self.ranking), -np.arange(len(self.ranking), dtype=float)
 
 
 def loop_oracle(ranker, examples, k):
@@ -164,3 +176,172 @@ def test_format_report_and_tsv():
     assert lines[0] == "partition\tcell\thits\tcount"
     # overall + 11 classes + 3 positions + 1 task + entity_matched
     assert len(lines) == 1 + 1 + 11 + 3 + 1 + 1
+
+
+# ---------------------------------------------------------------------------
+# the gold's rank counted from the scores
+
+
+class ScoredRanker:
+    """Fixed labels and scores for every example; with `table`, the labels
+    stand for the entity table, which `evaluate` finds through `entities`."""
+
+    def __init__(self, labels, scores, table=False):
+        self.labels, self.scores = labels, scores
+        self.entities = None
+        if table:
+            self.entities = SimpleNamespace(
+                labels=labels, index={c: i for i, c in enumerate(labels)})
+
+    def score(self, example):
+        return self.labels, self.scores
+
+
+@st.composite
+def scored_lists(draw):
+    """Candidate labels, their scores from a small integer range (ties are
+    dense) and a gold tuple, as the entity table ("table"), an explicit
+    list [gold[0], *pool] whose pool may repeat a response ("explicit") or
+    any other list ("other"); golds may repeat and "x" is no candidate."""
+    path = draw(st.sampled_from(["table", "explicit", "other"]))
+    n = draw(st.integers(1, 12))
+    if path == "table":
+        labels = [f"c{i}" for i in range(n)]
+    else:
+        labels = ["c0"] + draw(st.lists(st.sampled_from(["c1", "c2", "c3", "c4"]),
+                                        min_size=n - 1, max_size=n - 1))
+    scores = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)),
+                      dtype=float)
+    gold = draw(st.lists(st.sampled_from(labels + ["x"]), min_size=1, max_size=4))
+    if path == "explicit":
+        gold = ["c0"] + gold
+        ex = Example(input="q", gold=tuple(gold), candidate_pool=tuple(labels[1:]),
+                     task_tag="discussion")
+    else:
+        ex = Example(input="q", gold=tuple(gold))
+    k = draw(st.integers(1, n + 1))
+    return ScoredRanker(labels, scores, table=path == "table"), ex, k
+
+
+@settings(max_examples=400, deadline=None)
+@given(scored_lists())
+def test_counted_rank_gives_the_sorted_lists_hit(case):
+    ranker, ex, k = case
+    report = evaluate(ranker, [ex], k)
+    ranked = rank_by_score(ranker.labels, ranker.scores)
+    assert report.overall.hits == hits_at_k(ranked, ex.gold, k)
+    # tied: the first gold in rank order scores equal to a non-gold candidate
+    gold = set(ex.gold)
+    first = next((i for i in np.lexsort((np.arange(len(ranked)), -ranker.scores))
+                  if ranker.labels[i] in gold), None)
+    tied = first is not None and any(
+        s == ranker.scores[first] and c not in gold
+        for c, s in zip(ranker.labels, ranker.scores))
+    assert report.gold_tied == int(tied)
+
+
+class SpoilsSecond:
+    """Scores candidates a, b, c, d 3, 2, 1, 0, except on its second call,
+    where the score at index `bad` is `value`."""
+
+    def __init__(self, bad, value):
+        self.bad, self.value, self.calls = bad, value, 0
+
+    def score(self, example):
+        self.calls += 1
+        scores = np.array([3.0, 2.0, 1.0, 0.0])
+        if self.calls == 2:
+            scores[self.bad] = self.value
+        return ["a", "b", "c", "d"], scores
+
+
+@pytest.mark.parametrize("bad,value", [(0, np.nan), (2, np.nan), (2, np.inf)])
+def test_evaluate_refuses_a_score_that_is_not_finite(bad, value):
+    """A NaN for the gold (index 0) or for another candidate, or an
+    infinite score, names the example."""
+    examples = [Example(input=f"q {i}", gold=("a",), candidate_pool=("b", "c", "d"),
+                        task_tag="discussion") for i in range(3)]
+    with pytest.raises(NumericalError, match="example 1: 1 of 4"):
+        evaluate(SpoilsSecond(bad, value), examples, 1)
+
+
+class ConstantRanker(Ranker):
+    """Scores every candidate 0."""
+
+    def score(self, example):
+        labels = self.labels(example)
+        return labels, np.zeros(len(labels))
+
+
+def test_gold_tied_counts_examples_whose_gold_ties():
+    examples = make_examples(30, random.Random(5))
+    assert evaluate(OracleRanker(), examples, 1).gold_tied == 0
+    report = evaluate(ConstantRanker(), examples, 1)
+    assert report.gold_tied == 30
+    assert report.overall.hits == 30  # the gold is first in the list
+    assert "gold_tied" not in report_tsv(report)
+
+
+@pytest.fixture(scope="module")
+def datasets(tmp_path_factory):
+    """Small synthetic qa, qarecs (several golds per example), discussion
+    and joint datasets written by `dialeval gen`: each task's KB, vocabulary,
+    train and test splits and ratings (None without a ratings file)."""
+    root = tmp_path_factory.mktemp("eq")
+    sizes = {
+        "qa": ["--movies", 25, "--train", 120, "--dev", 5, "--test", 30],
+        "qarecs": ["--movies", 25, "--users", 20, "--train", 40, "--dev", 3,
+                   "--test", 10],
+        "discussion": ["--threads", 80, "--pool-size", 30],
+        "joint": ["--movies", 25, "--users", 20, "--threads", 60, "--train", 120,
+                  "--dev", 10, "--test", 30, "--pool-size", 20],
+    }
+    out = {}
+    for task, opts in sizes.items():
+        d = root / task
+        assert main([str(a) for a in ["gen", "--task", task, "--out", d,
+                                      "--synthetic", "--seed", 2, *opts]]) == 0
+        kb = load_triples(str(d / "kb.txt")).freeze()
+        train = _read_split(str(d), "train")
+        ratings = (load_ratings(str(d / "ratings.tsv"), kb)
+                   if (d / "ratings.tsv").exists() else None)
+        out[task] = (kb, build_vocab(train, kb, min_freq=1), train,
+                     _read_split(str(d), "test"), ratings)
+    return out
+
+
+def _rankers(kind, kb, vocab, train, ratings):
+    """Two rankers of one model, which rank alike call for call (a random
+    ranker's two copies share the seed)."""
+    cfg = TrainConfig(learning_rate=0.01, dim=8, epochs=2, hops=2, seed=1)
+    if kind == "oracle":
+        return OracleRanker(vocab), OracleRanker(vocab)
+    if kind == "random":
+        return RandomRanker(7, vocab), RandomRanker(7, vocab)
+    params = {
+        "memn2n": lambda: train_memn2n(train, vocab, kb, cfg)[0],
+        "supemb": lambda: train_supemb(train, vocab, cfg)[0],
+        "ir": lambda: train_ir(train, vocab),
+        "mf": lambda: train_mf_from_ratings(ratings, cfg)[0],
+    }[kind]()
+    return tuple(make_ranker(kind, params, vocab, kb, cfg) for _ in range(2))
+
+
+# mf needs a dataset with ratings, and ranks movies only
+@pytest.mark.parametrize("task,kind", [
+    (task, kind) for task in ("qa", "qarecs", "discussion", "joint")
+    for kind in ("memn2n", "supemb", "ir", "mf", "oracle", "random")
+    if kind != "mf" or task in ("qarecs", "joint")])
+def test_evaluate_matches_rank_per_example(datasets, task, kind):
+    """Example by example, evaluate's hit is hits@k of `rank()`'s list."""
+    kb, vocab, train, test, ratings = datasets[task]
+    if kind == "mf":
+        test = [ex for ex in test if ex.candidate_pool is None]
+    assert test
+    if task == "qarecs":
+        assert any(len(ex.gold) > 1 for ex in test)
+    scored, ranked = _rankers(kind, kb, vocab, train, ratings)
+    for i, ex in enumerate(test):
+        k = (1, 2, 10)[i % 3]
+        hit = evaluate(scored, [ex], k).overall.hits
+        assert hit == hits_at_k(ranked.rank(ex), ex.gold, k), (i, k)
